@@ -256,6 +256,7 @@ void untwist(const G2& q, Fp12& x_out, Fp12& y_out) {
 
 Fp12 miller_loop(const G1& p, const G2& q) {
   obs::note_miller_loop();
+  obs::note_inline_miller_loop();
   if (p.is_infinity() || q.is_infinity()) return Fp12::one();
 
   Fp xp, yp;
@@ -421,6 +422,7 @@ GT multi_pairing(std::span<const std::pair<G1, const G2Prepared*>> prepared,
   for (const auto& [p, q] : unprepared) {
     obs::note_pairing();
     obs::note_miller_loop();
+    obs::note_inline_miller_loop();
     if (p.is_infinity() || q.is_infinity()) continue;
     ActiveU a;
     a.q = to_affine2(q);

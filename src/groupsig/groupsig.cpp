@@ -82,6 +82,14 @@ bool MemberKey::is_valid(const GroupPublicKey& gpk) const {
   return curve::pairing(a, rhs) == curve::gt_generator();
 }
 
+bool MemberKey::is_valid(const PreparedGroupPublicKey& pgpk) const {
+  // The same relation split by pairing base: e(A, w) * e(A^(grp+x), g2).
+  if (a.is_infinity() || !a.is_on_curve()) return false;
+  const std::pair<G1, const curve::G2Prepared*> pairs[] = {
+      {a, &pgpk.w}, {a * (grp + x), &pgpk.g2}};
+  return curve::multi_pairing(pairs) == curve::gt_generator();
+}
+
 Bytes RevocationToken::to_bytes() const { return g1_to_bytes(a); }
 
 RevocationToken RevocationToken::from_bytes(BytesView data) {
@@ -173,10 +181,16 @@ MemberKey Issuer::derive(const Fr& grp, const Fr& x) const {
   return key;
 }
 
-Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
-               BytesView message, crypto::Drbg& rng, Epoch epoch,
-               OpCounters* ops) {
-  const auto& bn = Bn254::get();
+namespace {
+
+/// Steps 2.2.1) - 2.2.4) with the R2 pairing product left to the caller:
+/// `r2_product(p, q)` must return e(p, g2) * e(q, w). Both sign overloads
+/// draw the same randomness in the same order, so for equal DRBG states
+/// they produce byte-identical signatures.
+template <typename R2Product>
+Signature sign_with(const GroupPublicKey& gpk, const MemberKey& gsk,
+                    BytesView message, crypto::Drbg& rng, Epoch epoch,
+                    OpCounters* ops, R2Product&& r2_product) {
   Signature sig;
   sig.epoch = epoch;
   sig.nonce = random_fr(rng);  // the paper's r (step 2.2.1)
@@ -205,11 +219,9 @@ Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
   // bases g2 and w, so they fold into two: e(T2^rx v^-rd, g2) * e(v^-ra, w).
   sig.r1 = bases.u * r_alpha;
   count(ops, &OpCounters::g1_exp, 1);
-  sig.r2 = curve::multi_pairing(
-      {{curve::g1_msm<2>({sig.t2, bases.v},
-                         {r_x.to_u256(), (-r_delta).to_u256()}),
-        bn.g2_gen},
-       {-(bases.v * r_alpha), gpk.w}});
+  sig.r2 = r2_product(curve::g1_msm<2>({sig.t2, bases.v},
+                                       {r_x.to_u256(), (-r_delta).to_u256()}),
+                      -(bases.v * r_alpha));
   count(ops, &OpCounters::g1_exp, 3);
   count(ops, &OpCounters::pairings, 2);
   sig.r3 = curve::g1_msm<2>({sig.t1, bases.u},
@@ -225,6 +237,32 @@ Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
   sig.s_x = r_x + c * y;
   sig.s_delta = r_delta + c * delta;
   return sig;
+}
+
+}  // namespace
+
+Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
+               BytesView message, crypto::Drbg& rng, Epoch epoch,
+               OpCounters* ops) {
+  // Reference path: both R2 pairings walk the twist inline. It is the
+  // differential oracle the prepared overload is tested byte-identical
+  // against.
+  return sign_with(gpk, gsk, message, rng, epoch, ops,
+                   [&](const G1& p, const G1& q) {
+                     return curve::multi_pairing(
+                         {{p, Bn254::get().g2_gen}, {q, gpk.w}});
+                   });
+}
+
+Signature sign(const PreparedGroupPublicKey& pgpk, const MemberKey& gsk,
+               BytesView message, crypto::Drbg& rng, Epoch epoch,
+               OpCounters* ops) {
+  return sign_with(pgpk.gpk, gsk, message, rng, epoch, ops,
+                   [&](const G1& p, const G1& q) {
+                     const std::pair<G1, const curve::G2Prepared*> pairs[] = {
+                         {p, &pgpk.g2}, {q, &pgpk.w}};
+                     return curve::multi_pairing(pairs);
+                   });
 }
 
 PreparedGroupPublicKey::PreparedGroupPublicKey(const GroupPublicKey& key)

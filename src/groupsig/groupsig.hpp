@@ -95,7 +95,10 @@ struct MemberKey {
   Fr x;    // x_j, member-specific
 
   /// The SDH relation A^(gamma + grp + x) = g1, checkable publicly.
+  /// Reference path: one pairing against the unprepared w * g2^(grp+x).
   bool is_valid(const GroupPublicKey& gpk) const;
+  /// Same verdict on the prepared g2 / w lines: no G2 twist arithmetic.
+  bool is_valid(const PreparedGroupPublicKey& pgpk) const;
 };
 
 /// grt[i, j] = A_{i,j}: lets its holder test whether a signature was made
@@ -189,7 +192,15 @@ class Issuer {
 };
 
 /// Signs `message` under the member key. Steps 2.2.1) - 2.2.4) of the paper.
+/// Reference path: the two R2 pairings run full inline Miller loops.
 Signature sign(const GroupPublicKey& gpk, const MemberKey& gsk,
+               BytesView message, crypto::Drbg& rng, Epoch epoch = 0,
+               OpCounters* ops = nullptr);
+
+/// Production variant: byte-identical signature for the same DRBG state,
+/// but R2's two pairings evaluate the prepared g2 / w lines, so signing runs
+/// no G2 twist arithmetic. The lines depend only on public key material.
+Signature sign(const PreparedGroupPublicKey& pgpk, const MemberKey& gsk,
                BytesView message, crypto::Drbg& rng, Epoch epoch = 0,
                OpCounters* ops = nullptr);
 

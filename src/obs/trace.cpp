@@ -15,6 +15,8 @@ namespace {
 struct CoreCounters {
   Counter& pairings = Registry::global().counter("curve.pairings");
   Counter& miller_loops = Registry::global().counter("curve.miller_loops");
+  Counter& inline_miller_loops =
+      Registry::global().counter("curve.inline_miller_loops");
   Counter& final_exps = Registry::global().counter("curve.final_exps");
   Counter& g2_prepared =
       Registry::global().counter("curve.g2_prepared_builds");
@@ -81,6 +83,11 @@ void note_pairing(std::uint64_t n) {
 void note_miller_loop(std::uint64_t n) {
   core().miller_loops.add(n);
   PEACE_OBS_TALLY(miller_loops, n);
+}
+
+void note_inline_miller_loop(std::uint64_t n) {
+  core().inline_miller_loops.add(n);
+  PEACE_OBS_TALLY(inline_miller_loops, n);
 }
 
 void note_final_exp(std::uint64_t n) {
@@ -370,6 +377,8 @@ std::uint64_t Span::close() {
   };
   attribute("pairings", t.pairings, start_tally_.pairings);
   attribute("miller_loops", t.miller_loops, start_tally_.miller_loops);
+  attribute("inline_miller_loops", t.inline_miller_loops,
+            start_tally_.inline_miller_loops);
   attribute("final_exps", t.final_exps, start_tally_.final_exps);
   attribute("g2_prepared", t.g2_prepared, start_tally_.g2_prepared);
   attribute("msm_calls", t.msm_calls, start_tally_.msm_calls);

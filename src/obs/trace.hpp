@@ -54,6 +54,9 @@ std::uint64_t now_us();
 
 void note_pairing(std::uint64_t n = 1);
 void note_miller_loop(std::uint64_t n = 1);
+/// A Miller loop whose G2 lines are computed on the fly (an unprepared
+/// argument). Always noted in addition to note_miller_loop.
+void note_inline_miller_loop(std::uint64_t n = 1);
 void note_final_exp(std::uint64_t n = 1);
 void note_g2_prepared(std::uint64_t n = 1);
 void note_msm(std::uint64_t terms);
@@ -77,6 +80,7 @@ std::uint64_t fp12_inverse_op_count();
 struct CryptoTally {
   std::uint64_t pairings = 0;
   std::uint64_t miller_loops = 0;
+  std::uint64_t inline_miller_loops = 0;
   std::uint64_t final_exps = 0;
   std::uint64_t g2_prepared = 0;
   std::uint64_t msm_calls = 0;
@@ -101,7 +105,9 @@ struct TraceArg {
 
 /// One recorded event, already flattened to Chrome trace_event semantics.
 struct TraceEvent {
-  static constexpr std::size_t kMaxArgs = 12;
+  // Room for a span's explicit args (at most four) plus all twelve
+  // CryptoTally attributions.
+  static constexpr std::size_t kMaxArgs = 16;
 
   const char* name = nullptr;
   const char* cat = nullptr;

@@ -78,7 +78,7 @@ curve::EcdsaSignature User::complete_enrollment(
   key.a = unblind_credential(enrollment.blinded_credential, enrollment.x);
   key.grp = enrollment.grp;
   key.x = enrollment.x;
-  if (!key.is_valid(params_.gpk))
+  if (!key.is_valid(pgpk_))
     throw Error("user: assembled credential fails the SDH check");
   credentials_[enrollment.index.group] = key;
   // Non-repudiation: sign for what was received (paper IV.A).
@@ -177,7 +177,7 @@ std::optional<AccessRequest> User::process_beacon(const BeaconMessage& beacon,
   }
 
   // Steps 2.2.2 - 2.2.4: group signature over (g^rj, g^rR, ts2).
-  m2.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+  m2.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                 m2.signed_payload(), rng_);
 
   // Step 2.2.5: K = (g^rR)^rj, remembered until M.3 arrives.
@@ -239,7 +239,7 @@ PeerHello User::make_peer_hello(const G1& g, Timestamp now,
   hello.g = g;
   hello.g_rj = g * r_j;
   hello.ts1 = now;
-  hello.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+  hello.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                    hello.signed_payload(), rng_);
   admit_pending(pending_peer_init_, now);
   pending_peer_init_[to_hex(g1_to_bytes(hello.g_rj))] =
@@ -254,7 +254,7 @@ PeerReply User::reply_to_hello(const PeerHello& hello, Timestamp now,
   reply.g_rj = hello.g_rj;
   reply.g_rl = hello.g * r_l;
   reply.ts2 = now;
-  reply.signature = groupsig::sign(params_.gpk, pick_credential(via_group),
+  reply.signature = groupsig::sign(pgpk_, pick_credential(via_group),
                                    reply.signed_payload(), rng_);
 
   const Bytes sid = session_id_from(reply.g_rj, reply.g_rl);

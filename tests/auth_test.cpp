@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 
+#include "obs/metrics.hpp"
 #include "peace/router.hpp"
 #include "peace/user.hpp"
 
@@ -394,6 +395,34 @@ TEST_F(AuthTest, PeerHandshakeSucceeds) {
   EXPECT_EQ(*got, to_bytes("relay me"));
   DataFrame back = bob_session->seal(as_bytes("ack"));
   EXPECT_TRUE(established->session.open(back).has_value());
+}
+
+TEST_F(AuthTest, EmptyUrlHandshakesWalkNoTwist) {
+  // Exact op-count gate on the steady state: with the fixed G2 arguments
+  // prepared at construction, a user-router plus a user-user handshake over
+  // an empty URL runs every pairing on stored lines — no inline Miller
+  // loop and no G2Prepared build anywhere in M.1-M.3 or M~.1-M~.3.
+  const obs::Counter& inline_loops =
+      obs::Registry::global().counter("curve.inline_miller_loops");
+  const std::uint64_t loops = inline_loops.value();
+  const std::uint64_t builds = curve::g2_prepared_count();
+  const std::uint64_t pairings = curve::pairing_op_count();
+
+  ASSERT_TRUE(full_handshake(*alice_, 1000).has_value());
+  const BeaconMessage beacon = router_->make_beacon(1050);
+  ASSERT_TRUE(bob_->process_beacon(beacon, 1050).has_value());
+  const PeerHello hello = alice_->make_peer_hello(beacon.g, 1100);
+  auto reply = bob_->process_peer_hello(hello, 1110);
+  ASSERT_TRUE(reply.has_value());
+  auto established = alice_->process_peer_reply(*reply, 1120);
+  ASSERT_TRUE(established.has_value());
+  ASSERT_TRUE(bob_->process_peer_confirm(established->confirm).has_value());
+
+  EXPECT_EQ(inline_loops.value() - loops, 0u);
+  EXPECT_EQ(curve::g2_prepared_count() - builds, 0u);
+  // Four signatures (both users' M.2s, M~.1, M~.2) and three proof checks
+  // (router on M.2, bob on M~.1, alice on M~.2), two pairings each.
+  EXPECT_EQ(curve::pairing_op_count() - pairings, 14u);
 }
 
 TEST_F(AuthTest, PeerHelloFromRevokedUserRejected) {

@@ -318,8 +318,9 @@ TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].has_value(), expect[i].has_value()) << i;
-    if (got[i].has_value())
+    if (got[i].has_value()) {
       EXPECT_EQ(got[i]->confirm.to_bytes(), expect[i]->confirm.to_bytes()) << i;
+    }
   }
   ASSERT_TRUE(got[0].has_value());
   EXPECT_FALSE(got[1].has_value());  // mallory: valid proof, revoked token
@@ -367,8 +368,9 @@ TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].has_value(), expect[i].has_value()) << i;
-    if (got[i].has_value())
+    if (got[i].has_value()) {
       EXPECT_EQ(got[i]->confirm.to_bytes(), expect[i]->confirm.to_bytes()) << i;
+    }
   }
   ASSERT_TRUE(got[0].has_value());
   ASSERT_TRUE(got[1].has_value());

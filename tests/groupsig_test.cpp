@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "curve/ecdsa.hpp"
+#include "obs/metrics.hpp"
 
 namespace peace::groupsig {
 namespace {
@@ -186,6 +187,87 @@ TEST_F(GroupSigTest, PreparedVerifyWithUrlMatchesPlain) {
   EXPECT_EQ(plain_ops.g2_exp, prep_ops.g2_exp);
   EXPECT_FALSE(verify(issuer_.gpk(), as_bytes("m"), by_bob, url));
   EXPECT_FALSE(verify(pgpk, as_bytes("m"), by_bob, url));
+}
+
+TEST_F(GroupSigTest, PreparedSignIsByteIdenticalToPlain) {
+  // The production signer (prepared g2 / w lines) against the reference
+  // signer (inline Miller loops): same DRBG state, same bytes, same op
+  // counts — so the E2 comparison with the paper's 8 exp + 2 pairings is
+  // unchanged.
+  const PreparedGroupPublicKey pgpk(issuer_.gpk());
+  for (const Epoch epoch : {Epoch{0}, Epoch{17}}) {
+    for (int seed = 0; seed < 8; ++seed) {
+      const std::string label = "prepared-sign-" + std::to_string(seed);
+      const Bytes msg = to_bytes("msg-" + std::to_string(seed));
+      crypto::Drbg plain_rng = crypto::Drbg::from_string(label);
+      crypto::Drbg prep_rng = crypto::Drbg::from_string(label);
+      OpCounters plain_ops, prep_ops;
+      const Signature plain =
+          sign(issuer_.gpk(), alice_, msg, plain_rng, epoch, &plain_ops);
+      const Signature prepared =
+          sign(pgpk, alice_, msg, prep_rng, epoch, &prep_ops);
+      EXPECT_EQ(prepared.to_bytes(), plain.to_bytes()) << seed << "/" << epoch;
+      EXPECT_EQ(prepared.epoch, epoch);
+      EXPECT_EQ(prep_ops.g1_exp, plain_ops.g1_exp);
+      EXPECT_EQ(prep_ops.g2_exp, plain_ops.g2_exp);
+      EXPECT_EQ(prep_ops.gt_exp, plain_ops.gt_exp);
+      EXPECT_EQ(prep_ops.pairings, plain_ops.pairings);
+      EXPECT_EQ(prep_ops.hash_to_group, plain_ops.hash_to_group);
+      EXPECT_EQ(prep_ops.total_exp(), 10u);
+      EXPECT_EQ(prep_ops.pairings, 2u);
+      EXPECT_TRUE(verify_proof(pgpk, msg, prepared));
+    }
+  }
+}
+
+TEST_F(GroupSigTest, PreparedSignRunsNoInlineMillerLoop) {
+  // The exact op-count gate: the reference signer walks the twist for both
+  // R2 pairings, the prepared signer for none, and neither builds a
+  // G2Prepared per signature.
+  const PreparedGroupPublicKey pgpk(issuer_.gpk());
+  const obs::Counter& inline_loops =
+      obs::Registry::global().counter("curve.inline_miller_loops");
+  std::uint64_t loops = inline_loops.value();
+  std::uint64_t builds = curve::g2_prepared_count();
+  (void)sign(issuer_.gpk(), alice_, as_bytes("m"), rng_);
+  EXPECT_EQ(inline_loops.value() - loops, 2u);
+  EXPECT_EQ(curve::g2_prepared_count() - builds, 0u);
+
+  loops = inline_loops.value();
+  builds = curve::g2_prepared_count();
+  (void)sign(pgpk, alice_, as_bytes("m"), rng_);
+  (void)sign(pgpk, alice_, as_bytes("m"), rng_, /*epoch=*/5);
+  EXPECT_EQ(inline_loops.value() - loops, 0u);
+  EXPECT_EQ(curve::g2_prepared_count() - builds, 0u);
+}
+
+TEST_F(GroupSigTest, PreparedIsValidMatchesPlain) {
+  // The enrollment SDH check on prepared lines agrees with the reference
+  // on honest keys and on every single-field tamper.
+  const PreparedGroupPublicKey pgpk(issuer_.gpk());
+  const auto agree = [&](const MemberKey& key) {
+    const bool plain = key.is_valid(issuer_.gpk());
+    EXPECT_EQ(key.is_valid(pgpk), plain);
+    return plain;
+  };
+  for (const MemberKey* key : {&alice_, &bob_, &carol_})
+    EXPECT_TRUE(agree(*key));
+  const auto& bn = curve::Bn254::get();
+  MemberKey bad_a = alice_;
+  bad_a.a = bad_a.a + bn.g1_gen;
+  EXPECT_FALSE(agree(bad_a));
+  MemberKey bad_grp = alice_;
+  bad_grp.grp = grp_b_;
+  EXPECT_FALSE(agree(bad_grp));
+  MemberKey bad_x = alice_;
+  bad_x.x = bad_x.x + Fr::one();
+  EXPECT_FALSE(agree(bad_x));
+  MemberKey identity = alice_;
+  identity.a = G1::infinity();
+  EXPECT_FALSE(agree(identity));
+  // A key valid under another issuer fails under this one.
+  const Issuer other = Issuer::create(rng_);
+  EXPECT_FALSE(agree(other.issue(grp_a_, rng_)));
 }
 
 TEST_F(GroupSigTest, SerializationRoundTrip) {

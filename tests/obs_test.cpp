@@ -440,7 +440,9 @@ TEST_F(ObsTest, StreamRotationNeverSplitsSecEventLines) {
     std::string content(1 << 16, '\0');
     content.resize(std::fread(content.data(), 1, content.size(), f));
     std::fclose(f);
-    if (!content.empty()) EXPECT_EQ(content.back(), '\n') << file;
+    if (!content.empty()) {
+      EXPECT_EQ(content.back(), '\n') << file;
+    }
     // Whole lines only: each is one complete {...} JSON object.
     std::size_t start = 0;
     while (start < content.size()) {

@@ -5,6 +5,7 @@
 #include "crypto/drbg.hpp"
 #include "curve/ecdsa.hpp"
 #include "curve/pairing.hpp"
+#include "obs/metrics.hpp"
 
 namespace peace::curve {
 namespace {
@@ -259,6 +260,31 @@ TEST_F(PairingTest, PairingOpCounterAdvances) {
   const std::uint64_t before = pairing_op_count();
   pairing(Bn254::get().g1_gen, Bn254::get().g2_gen);
   EXPECT_EQ(pairing_op_count(), before + 1);
+}
+
+TEST_F(PairingTest, InlineMillerLoopCounterCountsOnlyUnpreparedLines) {
+  // curve.inline_miller_loops counts the loops that walk the twist: every
+  // miller_loop(G1, G2) and every unprepared pair of either multi_pairing
+  // overload, never a loop over stored lines.
+  const obs::Counter& inline_loops =
+      obs::Registry::global().counter("curve.inline_miller_loops");
+  const G1 p = Bn254::get().g1_gen * random_fr(rng_);
+  const G2 q = Bn254::get().g2_gen * random_fr(rng_);
+  const G2Prepared prep(q);
+  const std::pair<G1, const G2Prepared*> prepared[] = {{p, &prep}, {p, &prep}};
+  const std::pair<G1, G2> unprepared[] = {{p, q}};
+  const auto delta = [&](auto&& call) {
+    const std::uint64_t before = inline_loops.value();
+    (void)call();
+    return inline_loops.value() - before;
+  };
+  EXPECT_EQ(delta([&] { return miller_loop(p, q); }), 1u);
+  EXPECT_EQ(delta([&] { return pairing(p, q); }), 1u);
+  EXPECT_EQ(delta([&] { return multi_pairing({{p, q}, {p, q}}); }), 2u);
+  EXPECT_EQ(delta([&] { return multi_pairing(prepared, unprepared); }), 1u);
+  EXPECT_EQ(delta([&] { return multi_pairing(prepared); }), 0u);
+  EXPECT_EQ(delta([&] { return miller_loop(p, prep); }), 0u);
+  EXPECT_EQ(delta([&] { return pairing(p, prep); }), 0u);
 }
 
 class PairingProperty : public ::testing::TestWithParam<int> {

@@ -68,6 +68,27 @@ TEST_F(RotationTest, ReEnrolledUserWorksInNewEra) {
   EXPECT_TRUE(try_connect(alice, 3000));
 }
 
+TEST_F(RotationTest, RenewedUserSignsUnderTheNewKeyOnly) {
+  // The user signs on prepared g2 / w lines; install_params must re-prepare
+  // them, or the M.2 would carry an R2 bound to the retired w.
+  User alice("alice", no_.params(), crypto::Drbg::from_string("rot-e"));
+  alice.complete_enrollment(gm_->enroll("alice", ttp_));
+  const groupsig::GroupPublicKey old_gpk = no_.params().gpk;
+
+  no_.rotate_master_key(2000);
+  no_.reissue_group(*gm_, 4, ttp_);
+  router_->install_params(no_.params());
+  router_->install_revocation_lists(no_.current_crl(), no_.current_url());
+  alice.install_params(no_.params());
+  alice.complete_enrollment(gm_->enroll("alice", ttp_));
+
+  const auto m2 = alice.process_beacon(router_->make_beacon(3000), 3000);
+  ASSERT_TRUE(m2.has_value());
+  const Bytes payload = m2->signed_payload();
+  EXPECT_TRUE(groupsig::verify_proof(no_.params().gpk, payload, m2->signature));
+  EXPECT_FALSE(groupsig::verify_proof(old_gpk, payload, m2->signature));
+}
+
 TEST_F(RotationTest, StaleEnrollmentRejectedAfterRotation) {
   // An enrollment produced before the rotation cannot be completed against
   // the new parameters: the SDH check catches it.
