@@ -2,8 +2,7 @@
 // mutual authentication with every network user within its coverage for
 // each different session"): router load vs population, and multihop relay
 // cost vs chain depth, on the discrete-event WMN substrate.
-#include <benchmark/benchmark.h>
-
+#include "bench_common.hpp"
 #include "mesh/metro_scenario.hpp"
 #include "mesh/network.hpp"
 
@@ -175,24 +174,6 @@ BENCHMARK(BM_MetroCityThroughput)
 }  // namespace
 }  // namespace peace::mesh
 
-// BENCHMARK_MAIN, plus a default JSON report (BENCH_mesh_scale.json in the
-// working directory) when the caller didn't pick an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_mesh_scale.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    has_out |= std::string_view(argv[i]).starts_with("--benchmark_out=");
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return peace::bench::run_main(argc, argv, "BENCH_mesh_scale.json");
 }

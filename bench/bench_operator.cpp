@@ -4,14 +4,11 @@
 // durable WAL append — measured with per-record fsync, with syncs
 // batched, and against the in-memory operator as the no-durability
 // baseline. Emits BENCH_operator.json for the CI bench artifacts.
-#include <benchmark/benchmark.h>
-
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "bench_common.hpp"
 #include "peace/persist/control.hpp"
 #include "peace/user.hpp"
 
@@ -119,24 +116,6 @@ BENCHMARK(BM_OperatorRecover)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace peace::bench
 
-// BENCHMARK_MAIN, plus a default JSON report (BENCH_operator.json in the
-// working directory) when the caller didn't pick an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_operator.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    has_out |= std::string_view(argv[i]).starts_with("--benchmark_out=");
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return peace::bench::run_main(argc, argv, "BENCH_operator.json");
 }

@@ -1,8 +1,7 @@
 // E9 — primitive microbenchmarks: the building blocks whose counts the
 // paper's analysis is phrased in (pairings, exponentiations, hash-to-group),
 // plus the ate-vs-Tate ablation called out in DESIGN.md.
-#include <benchmark/benchmark.h>
-
+#include "bench_common.hpp"
 #include "crypto/drbg.hpp"
 #include "curve/ecdsa.hpp"
 #include "curve/hash_to_curve.hpp"
@@ -303,25 +302,8 @@ BENCHMARK(BM_EcdsaVerify);
 }  // namespace
 }  // namespace peace::curve
 
-// BENCHMARK_MAIN, plus a default JSON report (BENCH_pairing.json in the
-// working directory) when the caller didn't pick an output file — the
-// curve-layer speedup gates and the E1/E3/E5 cost tables read it.
+// The curve-layer speedup gates and the E1/E3/E5 cost tables read the
+// default JSON report.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_pairing.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    has_out |= std::string_view(argv[i]).starts_with("--benchmark_out=");
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return peace::bench::run_main(argc, argv, "BENCH_pairing.json");
 }

@@ -3,12 +3,10 @@
 // user of a segment into an authenticated session at 0%, 10%, and 30% loss.
 // Wall time measures the simulation itself; the interesting outputs are the
 // per-run counters (sim_ms_to_converge, frames, retransmissions).
-#include <benchmark/benchmark.h>
-
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "mesh/network.hpp"
 
 namespace peace::bench {
@@ -24,7 +22,6 @@ struct Segment {
         net(sim, crypto::Drbg::from_string(seed + "-net"), mesh::RadioConfig{},
             [] {
               proto::ProtocolConfig config;
-              config.idempotent_resend = true;
               config.replay_window_ms = 60'000;
               return config;
             }()) {
@@ -94,24 +91,6 @@ BENCHMARK(BM_HandshakeConvergence)
 }  // namespace
 }  // namespace peace::bench
 
-// BENCHMARK_MAIN, plus a default JSON report (BENCH_reliability.json in the
-// working directory) when the caller didn't pick an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_reliability.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    has_out |= std::string_view(argv[i]).starts_with("--benchmark_out=");
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return peace::bench::run_main(argc, argv, "BENCH_reliability.json");
 }

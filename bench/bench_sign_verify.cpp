@@ -5,7 +5,6 @@
 // carrier: one extra exponentiation per side; same-base pairings folded).
 #include <chrono>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -237,25 +236,8 @@ BENCHMARK(BM_MemberKeyIssue)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace peace::bench
 
-// BENCHMARK_MAIN, plus a default JSON report (BENCH_batch_verify.json in
-// the working directory) when the caller didn't pick an output file — the
-// E2/E3 cost tables and the batch-verification speedup gate read it.
+// The E2/E3 cost tables and the batch-verification speedup gate read the
+// default JSON report.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_batch_verify.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    has_out |= std::string_view(argv[i]).starts_with("--benchmark_out=");
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return peace::bench::run_main(argc, argv, "BENCH_batch_verify.json");
 }

@@ -65,8 +65,7 @@ int write_obs_outputs(const ObsOptions& opts) {
 constexpr proto::Timestamp kYearMs = 1000ull * 86400 * 365;
 
 /// One disposable metro segment for a chaos phase: three routers on a
-/// downtown strip, twelve residents spaced so greedy relay chains work,
-/// idempotent resend on (retransmission is only safe with it).
+/// downtown strip, twelve residents spaced so greedy relay chains work.
 struct ChaosSegment {
   explicit ChaosSegment(const std::string& seed)
       : no(crypto::Drbg::from_string(seed + "-no")),
@@ -74,7 +73,6 @@ struct ChaosSegment {
         net(sim, crypto::Drbg::from_string(seed + "-net"), mesh::RadioConfig{},
             [] {
               proto::ProtocolConfig config;
-              config.idempotent_resend = true;
               config.replay_window_ms = 60'000;
               return config;
             }(),
@@ -92,7 +90,6 @@ struct ChaosSegment {
           crypto::Drbg::from_string(seed + "-r" + std::to_string(i)),
           [] {
             proto::ProtocolConfig config;
-            config.idempotent_resend = true;
             config.replay_window_ms = 60'000;
             return config;
           }());
@@ -392,8 +389,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rs.deltas_gap), resyncs);
 
   // Evening: the eavesdropper files its report.
-  std::printf("\neavesdropper saw %zu frames, %zu access requests\n",
-              eve.frames_seen(), eve.access_requests_seen());
+  std::printf(
+      "\neavesdropper saw %zu frames, %zu access requests (%zu "
+      "retransmitted copies)\n",
+      eve.frames_seen(), eve.access_requests_seen(),
+      eve.access_request_copies_seen());
   std::printf("  repeated (linkable) protocol fields ....... %zu\n",
               eve.repeated_field_count());
   std::printf("  identities observed on the air ............ %s\n",

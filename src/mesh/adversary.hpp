@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 
 #include "mesh/network.hpp"
 
@@ -20,10 +21,15 @@ class Eavesdropper {
 
   std::size_t frames_seen() const { return frames_.size(); }
   std::size_t access_requests_seen() const { return m2_count_; }
+  /// Access-request frames that were byte-identical copies of an earlier
+  /// one: RTO retransmissions and radio duplicates.
+  std::size_t access_request_copies_seen() const { return m2_copies_; }
 
   /// Number of byte-identical protocol fields (DH shares, T1, T2, T_hat,
-  /// nonces) appearing in more than one recorded access request. Freshness
-  /// means this must be zero — any repeat is linkage evidence.
+  /// nonces) appearing in more than one recorded access request. A
+  /// byte-identical copy is the same request on the air again and counts
+  /// once. Freshness means this must be zero — any repeat across requests
+  /// is linkage evidence.
   std::size_t repeated_field_count() const;
 
   /// Plaintext fragments recovered from observed data frames (the
@@ -43,6 +49,8 @@ class Eavesdropper {
   std::vector<WireObservation> frames_;
   std::map<std::string, int> field_occurrences_;
   std::size_t m2_count_ = 0;
+  std::size_t m2_copies_ = 0;
+  std::set<Bytes> m2_wires_;
   std::vector<Bytes> recovered_;
 };
 
@@ -52,8 +60,10 @@ class Replayer {
   void attach(MeshNetwork& net);
   std::size_t captured() const { return captured_.size(); }
 
-  /// Replays every captured M.2 at the router; returns how many were
-  /// accepted (must be zero: replay cache + timestamp window).
+  /// Replays every captured M.2 at the router; returns how many the router
+  /// accepted as new sessions (must be zero: the resend cache answers an
+  /// immediate replay with its already-broadcast M.3, the timestamp window
+  /// rejects a delayed one).
   std::size_t replay_all(proto::MeshRouter& router, proto::Timestamp now);
 
  private:

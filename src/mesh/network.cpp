@@ -422,14 +422,9 @@ void MeshNetwork::on_m2_timeout(NodeId user_node, std::uint64_t generation) {
     unode.attempt.reset();
     return;
   }
-  // Byte-identical M.2 retransmission only helps when routers run the
-  // idempotent-resend cache (PROTOCOL.md §10.1): a strict-mode router
-  // rejects the duplicate as a replay, so there the RTO degrades to a
-  // watchdog that frees the attempt for a fresh M.2 at the next beacon.
-  const bool retransmit =
-      reliability_.handshake_retransmit && proto_config_.idempotent_resend;
-  const unsigned budget = retransmit ? reliability_.retry_budget : 0;
-  if (unode.attempt->tries > budget) {
+  // A byte-identical M.2 retransmission is safe: the router answers it
+  // from its resend cache (PROTOCOL.md §10.1).
+  if (unode.attempt->tries > reliability_.retry_budget) {
     ++stats_.handshake_timeouts;
     obs::sec_emit(obs::SecEventKind::kHandshakeTimeout, sim_.now(), user_node,
                   unode.attempt->router_node);
@@ -441,8 +436,8 @@ void MeshNetwork::on_m2_timeout(NodeId user_node, std::uint64_t generation) {
                                     {{"timed_out", 1}});
     const NodeId failed = unode.attempt->router_node;
     // Failover backoff only once retries actually probed the router — a
-    // single unanswered strict-mode attempt says nothing about its health.
-    if (retransmit)
+    // single unanswered attempt says nothing about its health.
+    if (reliability_.retry_budget > 0)
       unode.router_backoff_until[failed] =
           sim_.now() + reliability_.failover_backoff_ms;
     unode.last_failed_router = failed;
@@ -581,9 +576,7 @@ void MeshNetwork::on_peer_timeout(NodeId from, NodeId to,
     peer_attempts_.erase(it);
     return;
   }
-  const unsigned budget =
-      reliability_.handshake_retransmit ? reliability_.retry_budget : 0;
-  if (it->second.tries > budget) {
+  if (it->second.tries > reliability_.retry_budget) {
     ++stats_.handshake_timeouts;
     obs::sec_emit(obs::SecEventKind::kHandshakeTimeout, sim_.now(), from, to);
     obs::Tracer::global().instant_at("mesh.handshake_timeout", "reliability",
@@ -606,9 +599,8 @@ void MeshNetwork::on_peer_hello(NodeId me, NodeId from, const Bytes& wire) {
   const auto mit = users_.find(me);
   if (mit == users_.end()) return;
   UserNode& nb = mit->second;
-  // With idempotent resend on, a duplicate hello is answered from the
-  // user's reply cache (byte-identical M~.2, no new DH share); otherwise
-  // the strict endpoint mints a fresh reply per delivery.
+  // A duplicate hello is answered from the user's reply cache
+  // (byte-identical M~.2, no new DH share).
   auto reply = nb.user->process_peer_hello(*hello, sim_.now());
   if (!reply.has_value()) return;
   const Bytes reply_wire = reply->to_bytes();

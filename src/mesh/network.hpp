@@ -46,15 +46,9 @@ struct RadioConfig {
 /// session rekey. Defaults are conservative enough that a loss-free radio
 /// behaves exactly as before the layer existed.
 struct ReliabilityConfig {
-  /// Retransmit unanswered handshake frames (M.2, M~.1, M~.2) on RTO
-  /// timers. When off, one timeout abandons the attempt outright — the
-  /// pre-reliability behaviour, recovered by the next beacon. M.2
-  /// retransmission additionally requires ProtocolConfig::idempotent_resend
-  /// on the routers: a strict-mode router rejects the byte-identical copy
-  /// as a replay, so there the RTO acts only as a watchdog freeing the
-  /// attempt for the next beacon.
-  bool handshake_retransmit = true;
-  /// Retransmissions allowed per attempt after the first transmission.
+  /// Retransmissions of an unanswered handshake frame (M.2, M~.1, M~.2)
+  /// allowed per attempt after the first transmission. 0 = none: one
+  /// timeout abandons the attempt, recovered by the next beacon.
   unsigned retry_budget = 4;
   /// Initial retransmission timeout; doubles (rto_backoff) per retry.
   SimTime rto_ms = 400;

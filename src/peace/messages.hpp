@@ -34,28 +34,17 @@ struct ProtocolConfig {
   Timestamp replay_window_ms = 5000;
   /// How many recent beacon periods a router honours access requests for.
   std::size_t beacon_history = 8;
-  /// Worker threads for the router's batch verification path
-  /// (MeshRouter::handle_access_requests). 0 or 1 verifies inline on the
-  /// calling thread; results are bit-identical either way.
+  /// Worker threads for verify_stage (MeshRouter::handle_access_requests,
+  /// User::process_peer_hellos). 0 or 1 verifies inline on the calling
+  /// thread; results are bit-identical either way.
   unsigned verify_threads = 0;
-  /// Randomized batch verification (groupsig::BatchVerifier) for
-  /// multi-request batches: one shared final exponentiation per batch plus
-  /// bisection on failure, accept/reject bit-identical to per-signature
-  /// verification (docs/CRYPTO.md §4). Applies to the router's M.2
-  /// pipeline and the user's peer-hello batches, with or without a
-  /// VerifyPool. Off = strict per-signature mode (the differential
-  /// reference, and the mode to pick when auditing a single request's
-  /// operation counts).
-  bool batch_verify = true;
 
   // --- reliability layer (PROTOCOL.md §10) -------------------------------
-  /// Idempotent resend handling: when a duplicate of an *accepted* M.2
-  /// arrives (a retransmission after a lost M.3), resend the cached M.3
-  /// instead of rejecting it as a replay, and answer a duplicate M~.1 with
-  /// the cached M~.2. Resends mint no session, draw no randomness, and
-  /// redo no pairing work. Off by default: the strict endpoints treat any
-  /// duplicate as a replay, exactly as before this layer existed.
-  bool idempotent_resend = false;
+  // Resends are always idempotent: a byte-identical duplicate of an
+  // accepted M.2 gets the cached M.3 and of an answered M~.1 the cached
+  // M~.2 — no new session, no rng draw, no pairing work. Any other frame
+  // reusing a spent session id is a replay.
+
   /// TTL for pending-handshake state and resend caches; entries older than
   /// this are reaped before any insert. An abandoned handshake (lost M.2,
   /// peer gone) can therefore never strand state for longer than the TTL.

@@ -158,11 +158,14 @@ struct MeshRouter::PendingVerify {
   /// processing, it is skipped when the earlier entry was accepted and
   /// performed when it was not.
   bool deferred = false;
-  bool sig_ok = false;
-  /// Rejected by the pooled batch check and pinpointed by bisection — the
-  /// attribution behind the batch_forgery_attributed event.
-  bool batch_attributed = false;
-  bool revoked = false;
+  /// Filled by verify_stage; batch_attributed is the attribution behind the
+  /// batch_forgery_attributed event.
+  VerifyVerdict verdict;
+  /// Resend-cache key (SHA-256 of the M.2 wire bytes) of a request whose
+  /// proof held. Derived next to the revocation check — on a pool worker
+  /// for a pooled batch — so the sequential apply pass does not pay for
+  /// re-encoding the M.2.
+  std::string confirm_key;
   groupsig::OpCounters ops;
 };
 
@@ -182,13 +185,13 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
   // Idempotent resend: a byte-identical retransmission of an *accepted* M.2
   // (its M.3 was lost on the air) gets the cached M.3 back — no new
   // session, no rng draw, no pairing work, no counter but confirms_resent.
+  // Any other frame reusing an accepted sid is a replay.
   const auto resend_cached = [&](const AccessRequest& m2,
                                  const Bytes& sid) -> std::optional<AccessOutcome> {
-    if (!config_.idempotent_resend) return std::nullopt;
     const auto it = confirm_cache_.find(wire_key(m2.to_bytes()));
     if (it == confirm_cache_.end()) return std::nullopt;
     ++stats_.confirms_resent;
-    return AccessOutcome{AccessConfirm::from_bytes(it->second), sid};
+    return AccessOutcome{it->second, sid};
   };
 
   // Pass 1 (sequential, input order): the cheap gates — beacon lookup,
@@ -261,12 +264,10 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
     pending.push_back(std::move(pv));
   }
 
-  // Pass 2 (parallel): steps 3.2 + 3.3 — the pairing-heavy work — fanned
-  // out over the pool. One snapshot is loaded for the whole batch: every
-  // job (on any worker) verifies against the same immutable revocation
-  // view, so a concurrent delta publish can never split a batch. Jobs touch
-  // only their own PendingVerify entry and shared const state (pgpk_, the
-  // snapshot), so no synchronization beyond the pool's own is needed.
+  // Pass 2 (verify_stage, pooled): steps 3.2 + 3.3. One snapshot is loaded
+  // for the whole batch: every job (on any worker) verifies against the
+  // same immutable revocation view, so a concurrent delta publish can never
+  // split a batch.
   const auto revocation = revocation_->snapshot();
   std::vector<PendingVerify*> jobs;
   jobs.reserve(pending.size());
@@ -299,71 +300,7 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
     }
   }
 
-  const auto verify_one = [this, &revocation](PendingVerify& pv,
-                                              VerifyPool* scan_pool =
-                                                  nullptr) {
-    const Bytes payload = pv.m2->signed_payload();
-    pv.sig_ok =
-        groupsig::verify_proof(pgpk_, payload, pv.m2->signature, &pv.ops);
-    if (!pv.sig_ok) return;
-    revocation_check(pv, *revocation, scan_pool);
-  };
-  const auto run_jobs = [this](std::size_t count, auto&& body) {
-    if (pool_ != nullptr && count > 1) {
-      pool_->run(count, body);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    }
-  };
-  if (config_.batch_verify && jobs.size() > 1) {
-    // Randomized batch verification: phase A prepares every request (base
-    // hashing, challenge, Eq.2 combinations) — independent per item, so it
-    // fans out over the pool; phase B runs the combined checks plus
-    // bisection sequentially on this thread (one final exponentiation for
-    // the whole batch when all signatures are good); phase C scans the URL
-    // only for requests whose proof held, still one scan per signature.
-    // Accept/reject is bit-identical to the per-signature path
-    // (groupsig::BatchVerifier contract), so stats and sessions match the
-    // sequential pipeline exactly.
-    stats_.verify_batches += 1;
-    stats_.batched_requests += jobs.size();
-    std::vector<Bytes> payloads(jobs.size());
-    std::vector<groupsig::BatchItem> items(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      payloads[i] = jobs[i]->m2->signed_payload();
-      items[i] = {payloads[i], &jobs[i]->m2->signature};
-    }
-    groupsig::BatchVerifier verifier(pgpk_, items, batch_salt_);
-    run_jobs(jobs.size(),
-             [&](std::size_t i) { verifier.prepare(i, &jobs[i]->ops); });
-    // The combined-check / bisection costs are batch-global, not
-    // attributable to one request: merge them straight into the aggregate
-    // (still deterministic — bisection depends only on the batch content).
-    groupsig::OpCounters finalize_ops;
-    const std::vector<char>& ok = verifier.finalize(&finalize_ops);
-    verify_ops_.merge(finalize_ops);
-    std::vector<PendingVerify*> rev_jobs;
-    rev_jobs.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      jobs[i]->sig_ok = static_cast<bool>(ok[i]);
-      jobs[i]->batch_attributed = !jobs[i]->sig_ok;
-      if (jobs[i]->sig_ok) rev_jobs.push_back(jobs[i]);
-    }
-    // A single surviving scan job leaves the pool idle on this (sequential)
-    // thread — shard its URL scan instead of running one-core.
-    VerifyPool* scan_pool = rev_jobs.size() <= 1 ? pool_.get() : nullptr;
-    run_jobs(rev_jobs.size(), [&](std::size_t i) {
-      revocation_check(*rev_jobs[i], *revocation, scan_pool);
-    });
-  } else if (pool_ != nullptr && jobs.size() > 1) {
-    stats_.verify_batches += 1;
-    stats_.batched_requests += jobs.size();
-    pool_->run(jobs.size(), [&](std::size_t i) { verify_one(*jobs[i]); });
-  } else {
-    // Sequential path (batch of one, or no pool): the pool — when present —
-    // is idle, so a large-URL scan may fan out over it.
-    for (PendingVerify* pv : jobs) verify_one(*pv, pool_.get());
-  }
+  verify_pending(jobs, *revocation);
 
   // Pass 3 (sequential, input order): apply verdicts, re-checking the
   // replay cache against acceptances made earlier in this very batch. The
@@ -383,27 +320,30 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
                     kReplayInBatch);
       continue;
     }
-    // Earlier same-sid entry was rejected: verify now (sequential context,
-    // pool idle, so the URL scan may shard).
-    if (pv.deferred) verify_one(pv, pool_.get());
+    // Earlier same-sid entry was rejected: verify now, as a batch of one
+    // (sequential context, pool idle, so the URL scan may shard).
+    if (pv.deferred) {
+      PendingVerify* const one = &pv;
+      verify_pending({&one, 1}, *revocation);
+    }
     ++stats_.signature_verifications;
     verify_ops_.merge(pv.ops);
-    if (!pv.sig_ok) {
+    if (!pv.verdict.sig_ok) {
       ++stats_.rejected_bad_signature;
       obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_,
                     kRejectBadSignature);
-      if (pv.batch_attributed)
+      if (pv.verdict.batch_attributed)
         obs::sec_emit(obs::SecEventKind::kBatchForgeryAttributed, now, id_,
                       pv.index);
       continue;
     }
-    if (pv.revoked) {
+    if (pv.verdict.revoked) {
       ++stats_.rejected_revoked;
       obs::sec_emit(obs::SecEventKind::kRevocationHit, now, id_,
                     pv.m2->signature.epoch);
       continue;
     }
-    results[pv.index] = accept_request(*pv.m2, *pv.beacon, pv.sid, pv.sid_hex);
+    results[pv.index] = accept_request(pv);
   }
 
   if (span.active() && !batch.empty()) {
@@ -418,7 +358,32 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
   return results;
 }
 
-void MeshRouter::revocation_check(PendingVerify& pv,
+void MeshRouter::verify_pending(std::span<PendingVerify* const> jobs,
+                                const revoke::RevocationSnapshot& snapshot) {
+  // Jobs touch only their own PendingVerify entry and shared const state
+  // (pgpk_, the snapshot, epoch_bases_), so no synchronization beyond the
+  // pool's own is needed. Finalize costs go straight to the aggregate
+  // (deterministic: bisection depends only on the batch content).
+  if (jobs.size() > 1) {
+    stats_.verify_batches += 1;
+    stats_.batched_requests += jobs.size();
+  }
+  std::vector<Bytes> payloads(jobs.size());
+  std::vector<VerifyItem> items(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    payloads[i] = jobs[i]->m2->signed_payload();
+    items[i] = {payloads[i], &jobs[i]->m2->signature, &jobs[i]->ops};
+  }
+  const std::vector<VerifyVerdict> verdicts = verify_stage(
+      pgpk_, items, pool_.get(), batch_salt_, &verify_ops_,
+      [&](std::size_t i, VerifyPool* scan_pool) {
+        jobs[i]->confirm_key = wire_key(jobs[i]->m2->to_bytes());
+        return revocation_check(*jobs[i], snapshot, scan_pool);
+      });
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i]->verdict = verdicts[i];
+}
+
+bool MeshRouter::revocation_check(PendingVerify& pv,
                                   const revoke::RevocationSnapshot& snapshot,
                                   VerifyPool* scan_pool) {
   // Step 3.3: the revocation check. Epoch mode answers from the shared
@@ -427,11 +392,9 @@ void MeshRouter::revocation_check(PendingVerify& pv,
   // reflects — falls through to the scan rather than misclassifying
   // against the wrong epoch's tags (is_revoked would throw).
   if (snapshot.index != nullptr &&
-      pv.m2->signature.epoch == snapshot.index->epoch()) {
-    pv.revoked = snapshot.index->is_revoked(pv.m2->signature, &pv.ops);
-    return;
-  }
-  if (snapshot.url_tokens.empty()) return;
+      pv.m2->signature.epoch == snapshot.index->epoch())
+    return snapshot.index->is_revoked(pv.m2->signature, &pv.ops);
+  if (snapshot.url_tokens.empty()) return false;
   // Scan path: epoch-mode signatures share the per-epoch bases the
   // sequential precheck phase cached (read-only here — workers run this
   // concurrently); epoch-0 signatures derive their per-message bases now.
@@ -450,46 +413,42 @@ void MeshRouter::revocation_check(PendingVerify& pv,
                                     &pv.ops);
     prepared = &local;
   }
-  pv.revoked = url_scan_revoked(*prepared, pv.m2->signature,
-                                snapshot.url_tokens, scan_pool, &pv.ops);
+  return url_scan_revoked(*prepared, pv.m2->signature, snapshot.url_tokens,
+                          scan_pool, &pv.ops);
 }
 
-MeshRouter::AccessOutcome MeshRouter::accept_request(const AccessRequest& m2,
-                                                     const BeaconState& beacon,
-                                                     const Bytes& sid,
-                                                     const std::string& sid_hex) {
+MeshRouter::AccessOutcome MeshRouter::accept_request(
+    const PendingVerify& pv) {
+  const AccessRequest& m2 = *pv.m2;
   // Step 3.4: K = (g^rj)^rR, session established, M.3 returned.
-  seen_requests_.insert(sid_hex);
-  const G1 shared = m2.g_rj * beacon.r_r;
-  sessions_.emplace(sid_hex,
-                    Session::establish(shared, sid, Session::Role::kResponder));
+  seen_requests_.insert(pv.sid_hex);
+  const G1 shared = m2.g_rj * pv.beacon->r_r;
+  sessions_.emplace(
+      pv.sid_hex,
+      Session::establish(shared, pv.sid, Session::Role::kResponder));
 
   AccessOutcome out;
-  out.session_id = sid;
+  out.session_id = pv.sid;
   out.confirm.g_rj = m2.g_rj;
   out.confirm.g_rr = m2.g_rr;
   Writer payload;
   payload.u32(id_);
   payload.raw(g1_to_bytes(m2.g_rj));
   payload.raw(g1_to_bytes(m2.g_rr));
-  out.confirm.ciphertext = confirm_seal(shared, sid, payload.data());
+  out.confirm.ciphertext = confirm_seal(shared, pv.sid, payload.data());
   ++stats_.accepted;
 
   // Reliability bookkeeping: remember the M.3 for idempotent resends and
   // keep the replay cache bounded by FIFO eviction (evicted entries remain
   // protected by the timestamp window).
-  std::string confirm_key;
-  if (config_.idempotent_resend) {
-    confirm_key = wire_key(m2.to_bytes());
-    confirm_cache_[confirm_key] = out.confirm.to_bytes();
-  }
-  seen_order_.emplace_back(sid_hex, std::move(confirm_key));
+  confirm_cache_[pv.confirm_key] = out.confirm;
+  seen_order_.emplace_back(pv.sid_hex, pv.confirm_key);
   while (config_.replay_cache_cap > 0 &&
          seen_requests_.size() > config_.replay_cache_cap &&
          !seen_order_.empty()) {
     const auto& [old_sid, old_key] = seen_order_.front();
     seen_requests_.erase(old_sid);
-    if (!old_key.empty()) confirm_cache_.erase(old_key);
+    confirm_cache_.erase(old_key);
     seen_order_.pop_front();
   }
   return out;

@@ -39,6 +39,8 @@ struct RouterStats {
   std::uint64_t rl_resyncs_completed = 0;
   // Reliability layer (PROTOCOL.md §10):
   std::uint64_t confirms_resent = 0;  // duplicate M.2 answered with cached M.3
+
+  bool operator==(const RouterStats&) const = default;
 };
 
 class MeshRouter {
@@ -143,16 +145,17 @@ class MeshRouter {
 
   /// One batch entry between the precheck, verify, and apply passes.
   struct PendingVerify;
-  AccessOutcome accept_request(const AccessRequest& m2,
-                               const BeaconState& beacon, const Bytes& sid,
-                               const std::string& sid_hex);
-  /// Step 3.3 for one verified request, against a batch-wide snapshot.
-  /// `scan_pool` non-null shards a large-URL scan over the pool and must
-  /// only be passed from a sequential context (pool batches do not nest);
-  /// pooled callers pass nullptr and scan on their own worker.
-  void revocation_check(PendingVerify& pv,
+  AccessOutcome accept_request(const PendingVerify& pv);
+  /// Steps 3.2 + 3.3 for `jobs` via verify_stage; fills each entry's
+  /// verdict fields and counts a multi-request batch.
+  void verify_pending(std::span<PendingVerify* const> jobs,
+                      const revoke::RevocationSnapshot& snapshot);
+  /// Step 3.3 for one verified request, against a batch-wide snapshot;
+  /// true when revoked. `scan_pool` non-null shards a large-URL scan over
+  /// the pool (verify_stage passes it only from a sequential context).
+  bool revocation_check(PendingVerify& pv,
                         const revoke::RevocationSnapshot& snapshot,
-                        VerifyPool* scan_pool = nullptr);
+                        VerifyPool* scan_pool);
 
   RouterId id_;
   curve::EcdsaKeyPair keypair_;
@@ -190,12 +193,12 @@ class MeshRouter {
   std::unordered_set<std::string> seen_requests_;  // replay cache
   /// Insertion order of the replay cache, for FIFO eviction at
   /// config.replay_cache_cap. Each entry carries the key of its cached M.3
-  /// (empty when idempotent resend is off) so both are evicted together.
+  /// so both are evicted together.
   std::deque<std::pair<std::string, std::string>> seen_order_;
-  /// Idempotent-resend mode: the serialized M.3 per accepted M.2, keyed by
-  /// SHA-256 of the M.2's full wire bytes — only a *byte-identical*
-  /// retransmission can fish a confirmation back out.
-  std::unordered_map<std::string, Bytes> confirm_cache_;
+  /// Idempotent resend: the M.3 per accepted M.2, keyed by SHA-256 of the
+  /// M.2's full wire bytes — only a *byte-identical* retransmission can
+  /// fish a confirmation back out.
+  std::unordered_map<std::string, AccessConfirm> confirm_cache_;
   std::unordered_map<std::string, Session> sessions_;
   RouterStats stats_;
 };

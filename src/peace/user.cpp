@@ -247,8 +247,8 @@ PeerHello User::make_peer_hello(const G1& g, Timestamp now,
   return hello;
 }
 
-PeerReply User::reply_to_hello(const PeerHello& hello, Timestamp now,
-                               GroupId via_group) {
+PeerReply User::reply_to_hello(const PeerHello& hello, std::string hello_key,
+                               Timestamp now, GroupId via_group) {
   const Fr r_l = random_fr(rng_);
   PeerReply reply;
   reply.g_rj = hello.g_rj;
@@ -261,11 +261,8 @@ PeerReply User::reply_to_hello(const PeerHello& hello, Timestamp now,
   admit_pending(pending_peer_resp_, now);
   pending_peer_resp_[to_hex(sid)] =
       PendingPeerResponder{hello.g_rj * r_l, hello.ts1, now, now};
-  if (config_.idempotent_resend) {
-    admit_pending(hello_replies_, now);
-    hello_replies_[wire_key(hello.to_bytes())] =
-        CachedWire{reply.to_bytes(), now};
-  }
+  admit_pending(hello_replies_, now);
+  hello_replies_[std::move(hello_key)] = CachedWire{reply.to_bytes(), now};
   return reply;
 }
 
@@ -280,16 +277,11 @@ std::optional<PeerReply> User::process_peer_hello(const PeerHello& hello,
   // Idempotent resend: a byte-identical duplicate (radio duplication or an
   // initiator retransmission after a lost M~.2) gets the cached reply back
   // — no new r_l, no new pending state, no pairing work, no rng draw.
-  if (config_.idempotent_resend) {
-    if (const auto it = hello_replies_.find(wire_key(hello.to_bytes()));
-        it != hello_replies_.end()) {
-      ++stats_.duplicate_hellos;
-      return PeerReply::from_bytes(it->second.wire);
-    }
-  }
+  std::string key = wire_key(hello.to_bytes());
+  if (auto cached = cached_reply(key); cached.has_value()) return cached;
   if (!peer_signature_ok(hello.signed_payload(), hello.signature))
     return std::nullopt;
-  return reply_to_hello(hello, now, via_group);
+  return reply_to_hello(hello, std::move(key), now, via_group);
 }
 
 std::vector<std::optional<PeerReply>> User::process_peer_hellos(
@@ -302,9 +294,11 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   span.arg("batch_size", hellos.size());
 
   // Pass 1 (sequential): the cheap freshness gate, in input order.
+  // Duplicates of already-answered hellos are served from the cache here,
+  // before any verification work — same as the one-at-a-time path.
   struct Pending {
     std::size_t index;
-    bool ok = false;
+    std::string key;  // resend-cache key of the hello
   };
   std::vector<Pending> pending;
   pending.reserve(hellos.size());
@@ -312,86 +306,50 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
     const Timestamp age =
         now >= hellos[i].ts1 ? now - hellos[i].ts1 : hellos[i].ts1 - now;
     if (age > config_.replay_window_ms) continue;
-    // Duplicates of already-answered hellos are served from the cache here,
-    // before any verification work — same as the one-at-a-time path.
-    if (config_.idempotent_resend) {
-      if (const auto it = hello_replies_.find(wire_key(hellos[i].to_bytes()));
-          it != hello_replies_.end()) {
-        ++stats_.duplicate_hellos;
-        results[i] = PeerReply::from_bytes(it->second.wire);
-        continue;
-      }
+    std::string key = wire_key(hellos[i].to_bytes());
+    if (auto cached = cached_reply(key); cached.has_value()) {
+      results[i] = std::move(cached);
+      continue;
     }
-    pending.push_back({i});
+    pending.push_back({i, std::move(key)});
   }
 
-  // Pass 2 (parallel): the pairing-heavy group-signature verification plus
-  // URL scan. peer_signature_ok touches only immutable state (pgpk_,
-  // url_tokens_), so jobs need no synchronization beyond the pool's own.
-  const auto verify_one = [&](Pending& p) {
-    const PeerHello& hello = hellos[p.index];
-    p.ok = peer_signature_ok(hello.signed_payload(), hello.signature);
-  };
+  // Pass 2 (verify_stage, pooled): group-signature verification plus URL
+  // scan. The checks touch only immutable state (pgpk_, url_tokens_), so
+  // jobs need no synchronization beyond the pool's own.
   if (pool_ == nullptr && config_.verify_threads > 1)
     pool_ = std::make_unique<VerifyPool>(config_.verify_threads);
-  const auto run_jobs = [this](std::size_t count, auto&& body) {
-    if (pool_ != nullptr && count > 1) {
-      pool_->run(count, body);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    }
-  };
-  if (config_.batch_verify && pending.size() > 1) {
-    // Randomized batch verification, mirroring the router's M.2 pipeline:
-    // pooled prepare, sequential combined-check + bisection (one final
-    // exponentiation when every proof holds), then a per-signature URL
-    // scan for the survivors. Bit-identical to peer_signature_ok per hello.
+  if (pending.size() > 1) {
     ++stats_.peer_verify_batches;
     stats_.peer_batched_hellos += pending.size();
-    std::vector<Bytes> payloads(pending.size());
-    std::vector<groupsig::BatchItem> items(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      payloads[i] = hellos[pending[i].index].signed_payload();
-      items[i] = {payloads[i], &hellos[pending[i].index].signature};
-    }
-    groupsig::BatchVerifier verifier(pgpk_, items, batch_salt_);
-    run_jobs(pending.size(), [&](std::size_t i) { verifier.prepare(i); });
-    const std::vector<char>& ok = verifier.finalize();
-    std::vector<std::size_t> survivors;
-    survivors.reserve(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i)
-      if (ok[i]) survivors.push_back(i);
-    run_jobs(survivors.size(), [&](std::size_t i) {
-      const std::size_t j = survivors[i];
-      pending[j].ok = peer_not_revoked(payloads[j],
-                                       hellos[pending[j].index].signature);
-    });
-  } else if (pool_ != nullptr && pending.size() > 1) {
-    ++stats_.peer_verify_batches;
-    stats_.peer_batched_hellos += pending.size();
-    pool_->run(pending.size(), [&](std::size_t i) { verify_one(pending[i]); });
-  } else {
-    for (Pending& p : pending) verify_one(p);
   }
+  std::vector<Bytes> payloads(pending.size());
+  std::vector<VerifyItem> items(pending.size());
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    payloads[k] = hellos[pending[k].index].signed_payload();
+    items[k] = {payloads[k], &hellos[pending[k].index].signature, nullptr};
+  }
+  const std::vector<VerifyVerdict> verdicts = verify_stage(
+      pgpk_, items, pool_.get(), batch_salt_, nullptr,
+      [&](std::size_t k, VerifyPool*) {
+        return !peer_not_revoked(payloads[k], *items[k].sig);
+      });
 
   // Pass 3 (sequential, input order): every rng draw (r_l, signing nonces)
   // happens here, exactly as the one-at-a-time path would perform them.
-  for (const Pending& p : pending) {
-    if (!p.ok) continue;
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    if (!verdicts[k].sig_ok || verdicts[k].revoked) continue;
+    Pending& p = pending[k];
     // An in-batch byte-identical duplicate misses the cache in pass 1 (the
     // first copy's reply doesn't exist yet) but must still be served from
     // it: reply_to_hello on the first copy populated the cache during this
     // pass, so re-check before minting a second r_l.
-    if (config_.idempotent_resend) {
-      if (const auto it =
-              hello_replies_.find(wire_key(hellos[p.index].to_bytes()));
-          it != hello_replies_.end()) {
-        ++stats_.duplicate_hellos;
-        results[p.index] = PeerReply::from_bytes(it->second.wire);
-        continue;
-      }
+    if (auto cached = cached_reply(p.key); cached.has_value()) {
+      results[p.index] = std::move(cached);
+      continue;
     }
-    results[p.index] = reply_to_hello(hellos[p.index], now, via_group);
+    results[p.index] =
+        reply_to_hello(hellos[p.index], std::move(p.key), now, via_group);
   }
 
   if (span.active() && !hellos.empty()) {
@@ -434,14 +392,19 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   payload.u64(reply.ts2);
   out.confirm.ciphertext = confirm_seal(shared, sid, payload.data());
 
-  if (config_.idempotent_resend) {
-    admit_pending(peer_confirms_, now);
-    peer_confirms_[wire_key(reply.to_bytes())] =
-        CachedWire{out.confirm.to_bytes(), now};
-  }
+  admit_pending(peer_confirms_, now);
+  peer_confirms_[wire_key(reply.to_bytes())] =
+      CachedWire{out.confirm.to_bytes(), now};
   pending_peer_init_.erase(it);
   ++stats_.peer_sessions_established;
   return out;
+}
+
+std::optional<PeerReply> User::cached_reply(const std::string& hello_key) {
+  const auto it = hello_replies_.find(hello_key);
+  if (it == hello_replies_.end()) return std::nullopt;
+  ++stats_.duplicate_hellos;
+  return PeerReply::from_bytes(it->second.wire);
 }
 
 std::optional<PeerConfirm> User::cached_peer_confirm(const PeerReply& reply) {

@@ -115,11 +115,11 @@ class User {
   /// touching any state — a no-op, not a protocol error.
   std::optional<Session> process_peer_confirm(const PeerConfirm& confirm);
 
-  /// Idempotent-resend path (config.idempotent_resend): when a duplicate
-  /// M~.2 arrives after the initiator already established the session (its
-  /// M~.3 was lost on the air), returns the byte-identical cached M~.3 so
-  /// the responder can still converge. Mints nothing and draws no
-  /// randomness. nullopt when the reply matches no cached confirmation.
+  /// Idempotent-resend path: when a duplicate M~.2 arrives after the
+  /// initiator already established the session (its M~.3 was lost on the
+  /// air), returns the byte-identical cached M~.3 so the responder can
+  /// still converge. Mints nothing and draws no randomness. nullopt when
+  /// the reply matches no cached confirmation.
   std::optional<PeerConfirm> cached_peer_confirm(const PeerReply& reply);
 
   // --- reliability state hygiene (PROTOCOL.md §10) ---
@@ -148,10 +148,15 @@ class User {
   /// Always per-signature, even on the batch path (per-token attribution).
   bool peer_not_revoked(BytesView payload, const groupsig::Signature& sig);
   const MemberKey& pick_credential(GroupId via_group) const;
-  /// Builds M~.2 for an already-verified hello (the sequential tail of both
-  /// the single and the batch path — all rng draws happen here).
-  PeerReply reply_to_hello(const PeerHello& hello, Timestamp now,
-                           GroupId via_group);
+  /// The cached M~.2 for the hello whose resend-cache key (SHA-256 of its
+  /// wire bytes) is `hello_key`, counted in duplicate_hellos; nullopt when
+  /// no such hello was answered.
+  std::optional<PeerReply> cached_reply(const std::string& hello_key);
+  /// Builds M~.2 for an already-verified hello and caches it under
+  /// `hello_key` (the sequential tail of both the single and the batch
+  /// path — all rng draws happen here).
+  PeerReply reply_to_hello(const PeerHello& hello, std::string hello_key,
+                           Timestamp now, GroupId via_group);
 
   std::string uid_;
   SystemParams params_;
@@ -198,11 +203,11 @@ class User {
   };
   std::unordered_map<std::string, PendingPeerResponder> pending_peer_resp_;
 
-  /// Resend caches for the idempotent-resend mode, keyed by the SHA-256 of
-  /// the triggering frame's full wire bytes (only *byte-identical*
-  /// duplicates match): the serialized M~.2 a responder produced per hello
-  /// and the serialized M~.3 an initiator produced per reply. Both are
-  /// TTL'd and capped exactly like the pending maps.
+  /// Idempotent-resend caches, keyed by the SHA-256 of the triggering
+  /// frame's full wire bytes (only *byte-identical* duplicates match): the
+  /// serialized M~.2 a responder produced per hello and the serialized M~.3
+  /// an initiator produced per reply. Both are TTL'd and capped exactly
+  /// like the pending maps.
   struct CachedWire {
     Bytes wire;
     Timestamp created = 0;

@@ -106,4 +106,63 @@ void VerifyPool::run(std::size_t count,
   if (batch->error != nullptr) std::rethrow_exception(batch->error);
 }
 
+namespace {
+
+/// Runs body(i) for i in [0, count): over the pool when there is one and
+/// more than one job, inline otherwise — a single job is not worth a
+/// dispatch, and running it here leaves the pool free for a nested scan.
+template <typename Body>
+void run_indexed(VerifyPool* pool, std::size_t count, Body&& body) {
+  if (pool != nullptr && count > 1) {
+    pool->run(count, body);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  }
+}
+
+}  // namespace
+
+std::vector<VerifyVerdict> verify_stage(
+    const groupsig::PreparedGroupPublicKey& pgpk,
+    std::span<const VerifyItem> items, VerifyPool* pool, BytesView batch_salt,
+    groupsig::OpCounters* batch_ops, const RevocationCheck& revoked) {
+  std::vector<VerifyVerdict> out(items.size());
+  if (items.size() == 1) {
+    const VerifyItem& item = items[0];
+    out[0].sig_ok =
+        groupsig::verify_proof(pgpk, item.payload, *item.sig, item.ops);
+    if (out[0].sig_ok) out[0].revoked = revoked(0, pool);
+    return out;
+  }
+  if (items.empty()) return out;
+
+  // Randomized batch verification: prepare every item (base hashing,
+  // challenge, Eq.2 combinations) on the pool, then run the combined checks
+  // plus bisection here — one final exponentiation for the whole batch when
+  // every proof holds. The combined-check / bisection cost is batch-global,
+  // not attributable to one item, so it goes to batch_ops.
+  std::vector<groupsig::BatchItem> batch(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    batch[i] = {items[i].payload, items[i].sig};
+  groupsig::BatchVerifier verifier(pgpk, batch, batch_salt);
+  run_indexed(pool, items.size(),
+              [&](std::size_t i) { verifier.prepare(i, items[i].ops); });
+  const std::vector<char>& ok = verifier.finalize(batch_ops);
+
+  std::vector<std::size_t> survivors;
+  survivors.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out[i].sig_ok = static_cast<bool>(ok[i]);
+    out[i].batch_attributed = !out[i].sig_ok;
+    if (out[i].sig_ok) survivors.push_back(i);
+  }
+  // Still one revocation check per signature. A lone survivor runs on this
+  // thread, so the otherwise idle pool may shard its scan.
+  VerifyPool* scan_pool = survivors.size() == 1 ? pool : nullptr;
+  run_indexed(pool, survivors.size(), [&](std::size_t k) {
+    out[survivors[k]].revoked = revoked(survivors[k], scan_pool);
+  });
+  return out;
+}
+
 }  // namespace peace::proto

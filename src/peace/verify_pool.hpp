@@ -1,17 +1,18 @@
-// Fixed worker pool for pairing-heavy batch work. Shared by the router's
-// M.2 pipeline and the user's peer-handshake (M~.1/M~.2) batch path; its
-// batches are designed so pooled results stay bit-identical to sequential
-// execution regardless of thread count.
+// Fixed worker pool for pairing-heavy batch work, and verify_stage — the
+// one pass-2 pipeline both receivers run on it: the router's M.2 batches
+// and the user's peer-hello (M~.1) batches. Its batches are designed so
+// pooled results stay bit-identical to sequential execution regardless of
+// thread count.
 //
-// The pool composes with randomized batch verification
-// (groupsig::BatchVerifier, ProtocolConfig::batch_verify): the
-// embarrassingly-parallel BatchVerifier::prepare(i) calls fan out here,
-// while the order-sensitive combined checks and bisection stay on the
-// calling thread (BatchVerifier::finalize is sequential by contract).
-// Threading model of both callers: a sequential precheck pass feeds the
-// pool, and a sequential in-order apply pass consumes its results — all
-// rng draws and state mutation happen in the sequential passes, which is
-// what keeps results independent of the worker count.
+// verify_stage composes the pool with randomized batch verification
+// (groupsig::BatchVerifier): the embarrassingly-parallel
+// BatchVerifier::prepare(i) calls fan out here, while the order-sensitive
+// combined checks and bisection stay on the calling thread
+// (BatchVerifier::finalize is sequential by contract). Threading model of
+// both callers: a sequential precheck pass feeds verify_stage, and a
+// sequential in-order apply pass consumes its verdicts — all rng draws and
+// state mutation happen in the sequential passes, which is what keeps
+// results independent of the worker count.
 #pragma once
 
 #include <atomic>
@@ -21,8 +22,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
+
+#include "groupsig/groupsig.hpp"
 
 namespace peace::proto {
 
@@ -81,5 +85,46 @@ class VerifyPool {
   std::shared_ptr<Batch> current_batch_;  // guarded by mutex_
   std::vector<std::jthread> workers_;
 };
+
+/// One signature entering verify_stage. `ops` (nullable) receives the
+/// item's own verification cost; `payload` and `sig` must outlive the call.
+struct VerifyItem {
+  BytesView payload;
+  const groupsig::Signature* sig = nullptr;
+  groupsig::OpCounters* ops = nullptr;
+};
+
+/// verify_stage's verdict for one item. `revoked` is only meaningful when
+/// `sig_ok`; `batch_attributed` marks a proof the combined batch check
+/// rejected and bisection pinpointed.
+struct VerifyVerdict {
+  bool sig_ok = false;
+  bool revoked = false;
+  bool batch_attributed = false;
+};
+
+/// The caller's revocation check for item `i`, run only on items whose
+/// proof held; true means revoked. `scan_pool` is non-null only when the
+/// check runs on the calling thread with the pool otherwise idle, so a
+/// large URL scan may shard over it (pool batches do not nest). Invoked
+/// concurrently for distinct `i` when verify_stage fans checks out.
+using RevocationCheck =
+    std::function<bool(std::size_t i, VerifyPool* scan_pool)>;
+
+/// Pass 2 of both receive pipelines: proof verification plus revocation
+/// check for every item, with verdicts bit-identical to running
+/// groupsig::verify_proof and then `revoked` on each item alone. The path
+/// depends on the batch size only:
+///   * one item: per-signature verify_proof, then `revoked(0, pool)`;
+///   * more: a groupsig::BatchVerifier — prepare fanned out over `pool`,
+///     finalize (combined checks + bisection) on this thread with its
+///     batch-global cost charged to `batch_ops`, then the survivors'
+///     revocation checks fanned out over `pool`; a lone survivor is checked
+///     on this thread and gets the pool for its scan.
+/// `pool` and `batch_ops` may be null; `batch_salt` seeds the randomizers.
+std::vector<VerifyVerdict> verify_stage(
+    const groupsig::PreparedGroupPublicKey& pgpk,
+    std::span<const VerifyItem> items, VerifyPool* pool, BytesView batch_salt,
+    groupsig::OpCounters* batch_ops, const RevocationCheck& revoked);
 
 }  // namespace peace::proto

@@ -148,9 +148,19 @@ TEST_F(AuthTest, ReplayedAccessRequestRejected) {
   const BeaconMessage beacon = router_->make_beacon(1000);
   auto m2 = alice_->process_beacon(beacon, 1000);
   ASSERT_TRUE(m2.has_value());
-  ASSERT_TRUE(router_->handle_access_request(*m2, 1010).has_value());
-  EXPECT_FALSE(router_->handle_access_request(*m2, 1020).has_value());
-  EXPECT_EQ(router_->stats().rejected_replay, 1u);
+  const auto first = router_->handle_access_request(*m2, 1010);
+  ASSERT_TRUE(first.has_value());
+  const RouterStats before = router_->stats();
+  // An immediate replay is answered with the already-broadcast M.3: no
+  // session is minted and no pairing work is done.
+  const auto replayed = router_->handle_access_request(*m2, 1020);
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(replayed->confirm.to_bytes(), first->confirm.to_bytes());
+  EXPECT_EQ(router_->stats().accepted, before.accepted);
+  EXPECT_EQ(router_->session_count(), 1u);
+  EXPECT_EQ(router_->stats().signature_verifications,
+            before.signature_verifications);
+  EXPECT_EQ(router_->stats().confirms_resent, 1u);
 }
 
 TEST_F(AuthTest, StaleTimestampRejected) {
@@ -296,7 +306,7 @@ TEST_F(AuthTest, PooledBatchMatchesSequential) {
     ASSERT_TRUE(m2.has_value());
     batch.push_back(std::move(*m2));
   }
-  batch.push_back(batch[1]);  // duplicate in the same batch: replay
+  batch.push_back(batch[1]);  // duplicate in the same batch: resent M.3
   users.push_back(make_user("batch-forger"));
   auto forged_m2 = users.back()->process_beacon(beacon, 1000);
   ASSERT_TRUE(forged_m2.has_value());
@@ -314,18 +324,24 @@ TEST_F(AuthTest, PooledBatchMatchesSequential) {
       EXPECT_EQ(seq_out[i]->confirm.to_bytes(), pool_out[i]->confirm.to_bytes());
     }
   }
-  // First four accepted, duplicate and forged rejected.
+  // First four accepted, the duplicate answered with its original's M.3,
+  // forged rejected.
   EXPECT_TRUE(seq_out[0].has_value() && seq_out[3].has_value());
-  EXPECT_FALSE(seq_out[4].has_value());
+  ASSERT_TRUE(seq_out[4].has_value());
+  EXPECT_EQ(seq_out[4]->confirm.to_bytes(), seq_out[1]->confirm.to_bytes());
   EXPECT_FALSE(seq_out[5].has_value());
 
   EXPECT_EQ(seq.stats().accepted, pooled.stats().accepted);
+  EXPECT_EQ(seq.stats().accepted, 4u);
   EXPECT_EQ(seq.stats().rejected_replay, pooled.stats().rejected_replay);
+  EXPECT_EQ(seq.stats().rejected_replay, 0u);
+  EXPECT_EQ(seq.stats().confirms_resent, pooled.stats().confirms_resent);
+  EXPECT_EQ(seq.stats().confirms_resent, 1u);
   EXPECT_EQ(seq.stats().rejected_bad_signature,
             pooled.stats().rejected_bad_signature);
   EXPECT_EQ(seq.stats().rejected_bad_signature, 1u);
-  // Randomized batch verification (on by default) runs with or without a
-  // pool, so the inline router counts a batch too.
+  // Randomized batch verification runs with or without a pool, so the
+  // inline router counts a batch too.
   EXPECT_EQ(seq.stats().verify_batches, 1u);
   EXPECT_GE(pooled.stats().verify_batches, 1u);
   // Five jobs entered the batch; the within-batch duplicate is deferred to

@@ -2,12 +2,15 @@
 // accept/reject vector must be bit-identical to sequential verify_proof on
 // every batch — empty, singleton, all-good, all-bad, mixed, duplicated, and
 // adversarial batches crafted so the forgeries would cancel in an
-// UNrandomized combined check. Also the protocol-level contract: routers
-// and users running with batch_verify on behave exactly like strict
-// per-signature endpoints.
+// UNrandomized combined check. Also the protocol-level contract: a router
+// verifying M.2s in batches behaves exactly like one-at-a-time calls, each
+// of which takes the per-signature path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "groupsig/groupsig.hpp"
@@ -285,16 +288,15 @@ class BatchProtocolTest : public ::testing::Test {
 TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
   // A revoked signer hiding inside an otherwise-good batch: the batched
   // proof accepts its (valid) signature, and the per-signature URL scan
-  // must still catch it — outcome identical to strict mode.
+  // must still catch it — outcome identical to one-at-a-time calls, each
+  // of which takes the strict per-signature path.
   auto alice = make_user("alice");
   auto bob = make_user("bob");
   auto mallory = make_user("mallory");
   no_.revoke_user_key(enrollments_.at("mallory").index, 900);
 
-  proto::ProtocolConfig strict_cfg;
-  strict_cfg.batch_verify = false;
-  auto batched = make_router({});  // batch_verify defaults to on
-  auto strict = make_router(strict_cfg);
+  auto batched = make_router({});
+  auto strict = make_router({});
 
   const proto::BeaconMessage beacon = batched->make_beacon(1000);
   ASSERT_EQ(beacon.to_bytes(), strict->make_beacon(1000).to_bytes());
@@ -306,7 +308,7 @@ TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
     batch.push_back(*m2);
   }
   // A tampered request (its own session id, so it truly enters the batch)
-  // rides along: rejected by the proof in both modes.
+  // rides along: rejected by the proof on both routers.
   auto trent = make_user("trent");
   auto forged = trent->process_beacon(beacon, 1001);
   ASSERT_TRUE(forged.has_value());
@@ -314,12 +316,12 @@ TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
   batch.push_back(*forged);
 
   const auto got = batched->handle_access_requests(batch, 1002);
-  const auto expect = strict->handle_access_requests(batch, 1002);
-  ASSERT_EQ(got.size(), expect.size());
+  ASSERT_EQ(got.size(), batch.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].has_value(), expect[i].has_value()) << i;
+    const auto expect = strict->handle_access_request(batch[i], 1002);
+    ASSERT_EQ(got[i].has_value(), expect.has_value()) << i;
     if (got[i].has_value()) {
-      EXPECT_EQ(got[i]->confirm.to_bytes(), expect[i]->confirm.to_bytes()) << i;
+      EXPECT_EQ(got[i]->confirm.to_bytes(), expect->confirm.to_bytes()) << i;
     }
   }
   ASSERT_TRUE(got[0].has_value());
@@ -334,23 +336,108 @@ TEST_F(BatchProtocolTest, RouterBatchMatchesStrictModeWithRevokedSigner) {
   EXPECT_EQ(strict->stats().verify_batches, 0u);
 }
 
+/// verify_stage's two paths (batch of one vs BatchVerifier) crossed with
+/// pool sizes: (verify_threads, batch size).
+class BatchProtocolSweep
+    : public BatchProtocolTest,
+      public ::testing::WithParamInterface<std::tuple<unsigned, std::size_t>> {
+};
+
+/// RouterStats minus the batch-shape counters, which legitimately differ
+/// between batched and one-at-a-time processing.
+proto::RouterStats verdict_stats(proto::RouterStats stats) {
+  stats.verify_batches = 0;
+  stats.batched_requests = 0;
+  return stats;
+}
+
+TEST_P(BatchProtocolSweep, RouterBatchMatchesOneAtATimeWithRevokedSigner) {
+  // Revoked signers and tampered requests hiding among honest ones: the
+  // batched proof accepts a revoked signer's (valid) signature, and the
+  // per-signature revocation check must still catch it. Outcomes, stats,
+  // and sessions are identical to one-at-a-time calls on a twin router.
+  const auto [threads, batch_size] = GetParam();
+  std::vector<std::unique_ptr<proto::User>> users;
+  for (int i = 0; i < 10; ++i)
+    users.push_back(make_user("sweep-" + std::to_string(i)));
+  const std::set<std::size_t> revoked = {1, 6};
+  const std::set<std::size_t> tampered = {2, 7};
+  for (const std::size_t i : revoked)
+    no_.revoke_user_key(enrollments_.at(users[i]->uid()).index, 900);
+
+  proto::ProtocolConfig cfg;
+  cfg.verify_threads = threads;
+  auto batched = make_router(cfg);
+  auto reference = make_router({});
+
+  const proto::BeaconMessage beacon = batched->make_beacon(1000);
+  ASSERT_EQ(beacon.to_bytes(), reference->make_beacon(1000).to_bytes());
+
+  std::vector<proto::AccessRequest> requests;
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    auto m2 = users[i]->process_beacon(beacon, 1001);
+    ASSERT_TRUE(m2.has_value()) << i;
+    if (tampered.contains(i)) m2->signature.s_x = m2->signature.s_x + Fr::one();
+    requests.push_back(*m2);
+  }
+
+  // Chunks of batch_size — with 10 requests, chunks of 2 pair an honest
+  // request with a revoked one, a tampered one with an honest one (a lone
+  // survivor), and a revoked one with a tampered one.
+  std::vector<std::optional<proto::MeshRouter::AccessOutcome>> got;
+  for (std::size_t lo = 0; lo < requests.size(); lo += batch_size) {
+    const std::size_t n = std::min(batch_size, requests.size() - lo);
+    for (auto& out : batched->handle_access_requests(
+             std::span(requests).subspan(lo, n), 1002))
+      got.push_back(std::move(out));
+  }
+  ASSERT_EQ(got.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto expect = reference->handle_access_request(requests[i], 1002);
+    ASSERT_EQ(got[i].has_value(), expect.has_value()) << i;
+    EXPECT_EQ(got[i].has_value(),
+              !revoked.contains(i) && !tampered.contains(i))
+        << i;
+    if (got[i].has_value()) {
+      EXPECT_EQ(got[i]->confirm.to_bytes(), expect->confirm.to_bytes()) << i;
+    }
+  }
+  EXPECT_TRUE(verdict_stats(batched->stats()) ==
+              verdict_stats(reference->stats()));
+  EXPECT_EQ(batched->stats().rejected_revoked, revoked.size());
+  EXPECT_EQ(batched->stats().rejected_bad_signature, tampered.size());
+  EXPECT_EQ(batched->stats().verify_batches,
+            (requests.size() + batch_size - 1) / batch_size);
+  EXPECT_EQ(batched->stats().batched_requests, requests.size());
+  EXPECT_EQ(reference->stats().verify_batches, 0u);
+  EXPECT_EQ(batched->session_count(), reference->session_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsBySize, BatchProtocolSweep,
+    ::testing::Combine(::testing::Values(0u, 4u),
+                       ::testing::Values(std::size_t{2}, std::size_t{5})),
+    [](const auto& info) {
+      return "threads" + std::to_string(std::get<0>(info.param)) + "_batch" +
+             std::to_string(std::get<1>(info.param));
+    });
+
 TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   // Pool + batch verification + fault-injected duplicate frames: the
-  // combined pipeline must still be bit-identical to the strict sequential
-  // router (duplicates of one M.2 are deferred to the in-order apply pass,
-  // where only the first copy establishes the session).
+  // combined pipeline must still be bit-identical to one-at-a-time calls
+  // (duplicates of one M.2 are deferred to the in-order apply pass, where
+  // only the first copy establishes the session and the others are
+  // answered with its M.3).
   auto alice = make_user("alice");
   auto bob = make_user("bob");
 
   proto::ProtocolConfig pooled_cfg;
-  pooled_cfg.verify_threads = 4;  // batch_verify stays default-on
-  proto::ProtocolConfig strict_cfg;
-  strict_cfg.batch_verify = false;
+  pooled_cfg.verify_threads = 4;
   auto pooled = make_router(pooled_cfg);
-  auto strict = make_router(strict_cfg);
+  auto reference = make_router({});
 
   const proto::BeaconMessage beacon = pooled->make_beacon(1000);
-  ASSERT_EQ(beacon.to_bytes(), strict->make_beacon(1000).to_bytes());
+  ASSERT_EQ(beacon.to_bytes(), reference->make_beacon(1000).to_bytes());
 
   std::vector<proto::AccessRequest> batch;
   auto a2 = alice->process_beacon(beacon, 1001);
@@ -364,20 +451,28 @@ TEST_F(BatchProtocolTest, PooledBatchedRouterMatchesStrictUnderDuplicates) {
   batch.push_back(*a2);
 
   const auto got = pooled->handle_access_requests(batch, 1002);
-  const auto expect = strict->handle_access_requests(batch, 1002);
-  ASSERT_EQ(got.size(), expect.size());
+  ASSERT_EQ(got.size(), batch.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].has_value(), expect[i].has_value()) << i;
+    const auto expect = reference->handle_access_request(batch[i], 1002);
+    ASSERT_EQ(got[i].has_value(), expect.has_value()) << i;
     if (got[i].has_value()) {
-      EXPECT_EQ(got[i]->confirm.to_bytes(), expect[i]->confirm.to_bytes()) << i;
+      EXPECT_EQ(got[i]->confirm.to_bytes(), expect->confirm.to_bytes()) << i;
     }
   }
   ASSERT_TRUE(got[0].has_value());
   ASSERT_TRUE(got[1].has_value());
-  EXPECT_FALSE(got[2].has_value());  // replayed duplicates
-  EXPECT_FALSE(got[3].has_value());
-  EXPECT_EQ(pooled->session_count(), strict->session_count());
-  EXPECT_EQ(pooled->stats().rejected_replay, strict->stats().rejected_replay);
+  // The duplicates get alice's M.3 back, byte for byte.
+  ASSERT_TRUE(got[2].has_value());
+  ASSERT_TRUE(got[3].has_value());
+  EXPECT_EQ(got[2]->confirm.to_bytes(), got[0]->confirm.to_bytes());
+  EXPECT_EQ(got[3]->confirm.to_bytes(), got[0]->confirm.to_bytes());
+  EXPECT_EQ(pooled->session_count(), reference->session_count());
+  EXPECT_EQ(pooled->session_count(), 2u);
+  EXPECT_EQ(pooled->stats().rejected_replay,
+            reference->stats().rejected_replay);
+  EXPECT_EQ(pooled->stats().rejected_replay, 0u);
+  EXPECT_EQ(pooled->stats().confirms_resent, 2u);
+  EXPECT_EQ(reference->stats().confirms_resent, 2u);
 }
 
 }  // namespace

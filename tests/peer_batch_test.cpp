@@ -1,8 +1,13 @@
-// Pooled-equals-sequential cross-check for the user-user (M~.1/M~.2) batch
-// path: a responder running process_peer_hellos on a VerifyPool must be
-// bit-identical — replies, rng consumption, pending-session state, rejection
-// behaviour — to a clone processing the same hellos one at a time.
+// Batched-equals-one-at-a-time cross-check for the user-user (M~.1/M~.2)
+// batch path: a responder running process_peer_hellos — with or without a
+// VerifyPool — must be bit-identical (replies, rng consumption,
+// pending-session state, rejection behaviour) to a clone processing the
+// same hellos one at a time.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <tuple>
 
 #include "peace/router.hpp"
 #include "peace/user.hpp"
@@ -119,6 +124,74 @@ TEST_F(PeerBatchTest, PooledBatchBitIdenticalToSequential) {
   EXPECT_EQ(sequential->stats().peer_sessions_established,
             pooled->stats().peer_sessions_established);
 }
+
+/// verify_stage's two paths (batch of one vs BatchVerifier) crossed with
+/// pool sizes on the responder side: (verify_threads, batch size).
+class PeerBatchSweep
+    : public PeerBatchTest,
+      public ::testing::WithParamInterface<std::tuple<unsigned, std::size_t>> {
+};
+
+TEST_P(PeerBatchSweep, BatchMatchesOneAtATimeWithRevokedAndTampered) {
+  const auto [threads, batch_size] = GetParam();
+  std::vector<std::unique_ptr<User>> initiators;
+  for (int i = 0; i < 10; ++i)
+    initiators.push_back(make_user("peer-" + std::to_string(i)));
+  const std::set<std::size_t> revoked = {1, 6};
+  const std::set<std::size_t> tampered = {2, 7};
+  for (const std::size_t i : revoked)
+    no_.revoke_user_key(enrollments_.at(initiators[i]->uid()).index, 900);
+  router_->install_revocation_lists(no_.current_crl(), no_.current_url());
+
+  ProtocolConfig cfg;
+  cfg.verify_threads = threads;
+  auto batched = make_user("bob", cfg);
+  auto reference = make_user("bob");
+  const BeaconMessage beacon = router_->make_beacon(1000);
+  ASSERT_TRUE(batched->process_beacon(beacon, 1000).has_value());
+  ASSERT_TRUE(reference->process_beacon(beacon, 1000).has_value());
+
+  std::vector<PeerHello> hellos;
+  for (std::size_t i = 0; i < initiators.size(); ++i) {
+    PeerHello hello = initiators[i]->make_peer_hello(beacon.g, 1100);
+    if (tampered.contains(i)) hello.ts1 += 1;  // signature no longer covers it
+    hellos.push_back(hello);
+  }
+
+  std::vector<std::optional<PeerReply>> got;
+  for (std::size_t lo = 0; lo < hellos.size(); lo += batch_size) {
+    const std::size_t n = std::min(batch_size, hellos.size() - lo);
+    for (auto& reply :
+         batched->process_peer_hellos(std::span(hellos).subspan(lo, n), 1110))
+      got.push_back(std::move(reply));
+  }
+  ASSERT_EQ(got.size(), hellos.size());
+  for (std::size_t i = 0; i < hellos.size(); ++i) {
+    const auto expect = reference->process_peer_hello(hellos[i], 1110);
+    ASSERT_EQ(got[i].has_value(), expect.has_value()) << i;
+    EXPECT_EQ(got[i].has_value(),
+              !revoked.contains(i) && !tampered.contains(i))
+        << i;
+    if (got[i].has_value()) {
+      EXPECT_EQ(got[i]->to_bytes(), expect->to_bytes()) << i;
+    }
+  }
+  EXPECT_EQ(batched->pending_peer_size(), reference->pending_peer_size());
+  EXPECT_EQ(batched->resend_cache_size(), reference->resend_cache_size());
+  EXPECT_EQ(batched->stats().peer_verify_batches,
+            (hellos.size() + batch_size - 1) / batch_size);
+  EXPECT_EQ(batched->stats().peer_batched_hellos, hellos.size());
+  EXPECT_EQ(reference->stats().peer_verify_batches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsBySize, PeerBatchSweep,
+    ::testing::Combine(::testing::Values(0u, 4u),
+                       ::testing::Values(std::size_t{2}, std::size_t{5})),
+    [](const auto& info) {
+      return "threads" + std::to_string(std::get<0>(info.param)) + "_batch" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST_F(PeerBatchTest, SingletonAndEmptyBatchesSkipThePool) {
   auto alice = make_user("alice");

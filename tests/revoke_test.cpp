@@ -4,9 +4,12 @@
 // RCU snapshot sharing between routers and VerifyPool readers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string_view>
 #include <thread>
 
 #include "mesh/network.hpp"
+#include "obs/sec_event.hpp"
 #include "peace/revoke/shared.hpp"
 #include "peace/revoke/store.hpp"
 #include "peace/router.hpp"
@@ -606,6 +609,68 @@ TEST_F(RevokeSystemTest, MeshDroppedAnnouncementHealsViaResync) {
   EXPECT_EQ(net.revocation()->url_version(), 2u);
   EXPECT_EQ(net.revocation()->snapshot()->url.to_bytes(),
             no_.current_url().to_bytes());
+}
+
+TEST_F(RevokeSystemTest, RouterStatsMatchSecEventCounters) {
+  // One fact, one counter: over a mesh run with a dropped RL delta, a
+  // revoked signer and a same-sid variant M.2, every rejection the routers
+  // count is also exactly one security event of the matching kind.
+  using obs::SecEventKind;
+  const auto sec_counts = [] {
+    return std::array<std::uint64_t, 3>{
+        obs::sec_event_count(SecEventKind::kReplayDetected),
+        obs::sec_event_count(SecEventKind::kRevocationHit),
+        obs::sec_event_count(SecEventKind::kRlResync)};
+  };
+  const auto before = sec_counts();
+
+  mesh::Simulator sim;
+  mesh::MeshNetwork net(sim, crypto::Drbg::from_string("rv-mesh3"));
+  const auto r1 = net.add_router({0, 0}, no_, kFarFuture);
+  const auto r2 = net.add_router({300, 0}, no_, kFarFuture);
+  const auto alice = net.add_user({40, 0}, make_user("alice"));
+  net.add_user({260, 0}, make_user("mallory"));
+  make_user("u1");
+
+  // Two revocations; the segment only ever hears the second delta, so the
+  // first is dropped and the gap heals by resync.
+  no_.revoke_user_key(enrollments_["u1"].index, 100);
+  no_.revoke_user_key(enrollments_["mallory"].index, 200);
+  net.announce_rl_deltas(no_.make_delta_announcement(0, 1), no_);
+  sim.run_until(1'000);
+
+  std::vector<Bytes> m2s;
+  net.add_tap([&](const mesh::WireObservation& obs) {
+    if (std::string_view(obs.kind) == "m2") m2s.push_back(obs.payload);
+  });
+  net.start_beaconing(1'100, 500, 3'000);
+  sim.run_until(4'000);
+  ASSERT_TRUE(net.is_connected(alice));
+  ASSERT_FALSE(m2s.empty());
+
+  // Same sid as an accepted M.2, different bytes: a replay at every router
+  // that accepted the original, whichever it was.
+  for (const Bytes& wire : m2s) {
+    proto::AccessRequest variant = proto::AccessRequest::from_bytes(wire);
+    variant.ts2 += 1;
+    for (const auto rid : {r1, r2})
+      (void)net.router(rid).handle_access_request(variant, sim.now());
+  }
+
+  proto::RouterStats sum;
+  for (const auto rid : {r1, r2}) {
+    const proto::RouterStats& s = net.router(rid).stats();
+    sum.rejected_replay += s.rejected_replay;
+    sum.rejected_revoked += s.rejected_revoked;
+    sum.rl_resyncs_requested += s.rl_resyncs_requested;
+  }
+  EXPECT_GT(sum.rejected_replay, 0u);
+  EXPECT_GT(sum.rejected_revoked, 0u);
+  EXPECT_EQ(sum.rl_resyncs_requested, 1u);
+  const auto after = sec_counts();
+  EXPECT_EQ(sum.rejected_replay, after[0] - before[0]);
+  EXPECT_EQ(sum.rejected_revoked, after[1] - before[1]);
+  EXPECT_EQ(sum.rl_resyncs_requested, after[2] - before[2]);
 }
 
 }  // namespace
