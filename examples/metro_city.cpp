@@ -1,11 +1,11 @@
-// metro_city — one simulated day of a sharded metropolitan deployment at
-// populations up to (and beyond) 100k users: per-segment shards with their
-// own event queues, commute waves roaming users between segments, a
-// stadium flash crowd, and rolling revocation waves from the operator.
-// See mesh/metro_scenario.hpp for the hybrid population model (a real
-// BN254-crypto cohort over a synthetic background population).
+// metro_city — one simulated day of a sharded metropolitan deployment:
+// per-segment shards with their own event queues, commute waves roaming
+// users between segments, a stadium flash crowd, and rolling revocation
+// waves from the operator. Every user (--users, default 64) is a real
+// BN254-crypto proto::User running the full protocol; see
+// mesh/metro_scenario.hpp.
 //
-// Run: ./build/examples/metro_city [--users=N] [--cohort=N] [--shards=N]
+// Run: ./build/examples/metro_city [--users=N] [--shards=N]
 //        [--day-ms=N] [--budget=N] [--waves=N] [--no-flash-crowd]
 //        [--trace=out.jsonl] [--trace-rotate=BYTES] [--metrics=out.json]
 //        [--bench-json=out.json] [--health=out.json]
@@ -14,7 +14,8 @@
 // --trace streams events through the bounded-memory JSONL sink
 // (obs::Tracer::stream_to) — memory stays flat however long the day; the
 // file is valid input for tools/trace_report.py. --bench-json writes the
-// throughput summary (users×sim-s/wall-s) as a small JSON report.
+// throughput summary (handshakes per wall-second, wall-µs per simulated
+// event) as a small JSON report.
 //
 // --health arms the obs::HealthMonitor for the whole day (drained and
 // evaluated at every tick barrier) and writes its summary JSON — input for
@@ -44,13 +45,14 @@ std::string bench_json(const mesh::MetroCityReport& r) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"benchmark\": \"metro_city\", \"users\": %llu, \"shards\": %zu, "
+      "{\"benchmark\": \"metro_city\", \"users\": %zu, \"shards\": %zu, "
       "\"sim_ms\": %llu, \"wall_seconds\": %.3f, \"events\": %llu, "
-      "\"users_sim_s_per_wall_s\": %.0f}\n",
-      static_cast<unsigned long long>(r.total_users), r.shards,
-      static_cast<unsigned long long>(r.sim_ms), r.wall_seconds,
-      static_cast<unsigned long long>(r.events),
-      r.users_sim_seconds_per_wall_second);
+      "\"handshakes\": %llu, \"handshakes_per_wall_s\": %.1f, "
+      "\"wall_us_per_event\": %.1f}\n",
+      r.cohort_users, r.shards, static_cast<unsigned long long>(r.sim_ms),
+      r.wall_seconds, static_cast<unsigned long long>(r.events),
+      static_cast<unsigned long long>(r.handshakes),
+      r.handshakes_per_wall_second(), r.wall_us_per_event());
   return buf;
 }
 
@@ -66,14 +68,12 @@ bool parse_u64(const std::string& arg, const char* prefix, std::uint64_t& out) {
 int main(int argc, char** argv) {
   curve::Bn254::init();
   mesh::MetroCityConfig config;
-  std::uint64_t total_users = 100'000;
   std::uint64_t trace_rotate = 0;
   std::string trace_path, metrics_path, bench_path, health_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::uint64_t v = 0;
-    if (parse_u64(arg, "--users=", total_users)) {
-    } else if (parse_u64(arg, "--cohort=", v)) {
+    if (parse_u64(arg, "--users=", v)) {
       config.cohort_users = static_cast<std::size_t>(v);
     } else if (parse_u64(arg, "--shards=", v)) {
       config.shards = static_cast<std::size_t>(v);
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       health_path = arg.substr(9);
     } else {
       std::fprintf(stderr,
-                   "usage: metro_city [--users=N] [--cohort=N] [--shards=N] "
+                   "usage: metro_city [--users=N] [--shards=N] "
                    "[--day-ms=N] [--budget=N] [--waves=N] [--no-flash-crowd] "
                    "[--trace=out.jsonl] [--trace-rotate=BYTES] "
                    "[--metrics=out.json] [--bench-json=out.json] "
@@ -108,11 +108,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (config.shards == 0 || config.cohort_users > total_users) {
-    std::fprintf(stderr, "metro_city: need shards >= 1, cohort <= users\n");
+  if (config.shards == 0) {
+    std::fprintf(stderr, "metro_city: need shards >= 1\n");
     return 2;
   }
-  config.synthetic_users = total_users - config.cohort_users;
 
   if (!trace_path.empty()) {
     obs::enable(true);
@@ -131,10 +130,10 @@ int main(int argc, char** argv) {
   obs::HealthMonitor monitor;
   if (!health_path.empty()) config.health = &monitor;
 
-  std::printf("metro_city: %llu users (%zu real-crypto cohort) across %zu "
-              "shards, %llu ms simulated day\n",
-              static_cast<unsigned long long>(total_users), config.cohort_users,
-              config.shards, static_cast<unsigned long long>(config.day_ms));
+  std::printf("metro_city: %zu real-crypto users across %zu shards, %llu ms "
+              "simulated day\n",
+              config.cohort_users, config.shards,
+              static_cast<unsigned long long>(config.day_ms));
 
   mesh::MetroCityReport report;
   try {
@@ -145,14 +144,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf(
-      "day complete: %llu sim-ms in %.1f s wall — %.0f users x sim-s / "
-      "wall-s\n",
-      static_cast<unsigned long long>(report.sim_ms), report.wall_seconds,
-      report.users_sim_seconds_per_wall_second);
+  std::printf("day complete: %llu sim-ms in %.1f s wall — %.1f handshakes "
+              "/ wall-s, %.1f wall-us / sim event\n",
+              static_cast<unsigned long long>(report.sim_ms),
+              report.wall_seconds, report.handshakes_per_wall_second(),
+              report.wall_us_per_event());
   std::printf("  events ............ %llu across %zu shards\n",
               static_cast<unsigned long long>(report.events), report.shards);
-  std::printf("  cohort ............ %zu/%zu connected at day end, "
+  std::printf("  handshakes ........ %llu accepted M.2s\n",
+              static_cast<unsigned long long>(report.handshakes));
+  std::printf("  users ............. %zu/%zu connected at day end, "
               "%llu cross-shard roams\n",
               report.cohort_connected, report.cohort_users,
               static_cast<unsigned long long>(report.cohort_roams));
@@ -164,11 +165,6 @@ int main(int argc, char** argv) {
   std::printf("  backbone .......... %llu relays delivered, %llu dropped\n",
               static_cast<unsigned long long>(report.metro.relay_delivered),
               static_cast<unsigned long long>(report.metro.relay_dropped));
-  std::printf("  synthetic load .... %llu modeled associations, %llu data "
-              "frames, %llu moved\n",
-              static_cast<unsigned long long>(report.synthetic.associations),
-              static_cast<unsigned long long>(report.synthetic.data_frames),
-              static_cast<unsigned long long>(report.synthetic.moved));
   std::printf("  revocation ........ %u waves pushed, URL v%llu\n",
               report.revocation_waves,
               static_cast<unsigned long long>(report.url_version));
@@ -181,7 +177,7 @@ int main(int argc, char** argv) {
 
   bool ok = report.cohort_connected == report.cohort_users;
   if (!ok)
-    std::fprintf(stderr, "metro_city: cohort did not fully reconnect\n");
+    std::fprintf(stderr, "metro_city: users did not fully reconnect\n");
   if (!trace_path.empty()) {
     const std::uint64_t streamed = obs::Tracer::global().streamed_event_count();
     if (!obs::Tracer::global().stop_streaming()) {

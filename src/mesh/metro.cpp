@@ -16,7 +16,6 @@ ShardId MetroSimulation::add_shard(std::string name, const std::string& seed,
   const ShardId id = static_cast<ShardId>(shards_.size());
   ShardConfig sc;
   sc.inbox_cap = config_.shard_inbox_cap;
-  sc.frame_cap = config_.shard_frame_cap;
   sc.event_budget = config_.shard_event_budget;
   // The seed is used verbatim: a shard's DRBG stream depends only on its
   // own seed string, never on shard count or creation order — and a
@@ -101,27 +100,7 @@ bool MetroSimulation::user_in_transit(MetroUserId id) const {
   return it != users_.end() && it->second.in_transit;
 }
 
-bool MetroSimulation::post_frame(ShardId from, ShardId to, BytesView payload,
-                                 std::uint32_t tag) {
-  Shard& src = shard(from);
-  auto frame = src.arena().acquire_copy(payload);
-  if (!frame) {
-    ++stats_.frames_shed;
-    return false;
-  }
-  CrossShardMsg msg;
-  msg.kind = CrossShardMsg::Kind::kFrame;
-  msg.from = from;
-  msg.to = to;
-  msg.seq = stamp();
-  msg.tag = tag;
-  msg.frame = std::move(*frame);
-  src.emit(std::move(msg));
-  ++stats_.frames_posted;
-  return true;
-}
-
-bool MetroSimulation::relay_to_internet(ShardId from, BytesView payload) {
+bool MetroSimulation::relay_to_internet(ShardId from) {
   Shard& src = shard(from);
   if (src.net().access_point_count() > 0) {
     // The segment has its own wired exit — no inter-shard hop needed. The
@@ -135,17 +114,11 @@ bool MetroSimulation::relay_to_internet(ShardId from, BytesView payload) {
     ++stats_.relay_dropped;
     return false;
   }
-  auto frame = src.arena().acquire_copy(payload);
-  if (!frame) {
-    ++stats_.frames_shed;
-    return false;
-  }
   CrossShardMsg msg;
   msg.kind = CrossShardMsg::Kind::kInternetRelay;
   msg.from = from;
   msg.to = *hop;
   msg.seq = stamp();
-  msg.frame = std::move(*frame);
   src.emit(std::move(msg));
   return true;
 }
@@ -243,12 +216,8 @@ void MetroSimulation::route(CrossShardMsg msg) {
     return;
   }
   if (blocked) {
-    // Frames shed on a partitioned backbone link; the pooled buffer
-    // returns to its origin arena as the message dies.
-    if (msg.kind == CrossShardMsg::Kind::kInternetRelay)
-      ++stats_.relay_dropped;
-    else
-      ++stats_.frames_dropped;
+    // Relays shed on a partitioned backbone link.
+    ++stats_.relay_dropped;
     return;
   }
   shard(msg.to).enqueue(std::move(msg));
@@ -261,10 +230,6 @@ void MetroSimulation::apply(Shard& dest, CrossShardMsg msg) {
       const NodeId node = dest.net().add_user(msg.pos, std::move(msg.carried));
       auto it = users_.find(msg.user);
       if (it != users_.end()) it->second = UserRecord{dest.id(), node, false};
-      break;
-    }
-    case CrossShardMsg::Kind::kFrame: {
-      if (frame_handler_) frame_handler_(dest.id(), msg.tag, msg.frame.bytes());
       break;
     }
     case CrossShardMsg::Kind::kInternetRelay: {
@@ -363,7 +328,6 @@ void MetroSimulation::publish_metrics() const {
   absorb_network_stats(network_stats_total(), sim_events_total());
 
   ShardStats shard_totals;
-  FrameArenaStats arena_totals;
   for (const auto& s : shards_) {
     const ShardStats& st = s->stats();
     shard_totals.msgs_out += st.msgs_out;
@@ -371,12 +335,6 @@ void MetroSimulation::publish_metrics() const {
     shard_totals.inbox_dropped += st.inbox_dropped;
     shard_totals.handoffs_in += st.handoffs_in;
     shard_totals.handoffs_out += st.handoffs_out;
-    const FrameArenaStats& ar = s->arena().stats();
-    arena_totals.acquired += ar.acquired;
-    arena_totals.reused += ar.reused;
-    arena_totals.allocated += ar.allocated;
-    arena_totals.cap_rejections += ar.cap_rejections;
-    arena_totals.outstanding += ar.outstanding;
   }
 
   auto& reg = obs::Registry::global();
@@ -386,21 +344,12 @@ void MetroSimulation::publish_metrics() const {
       .set(static_cast<std::int64_t>(parked_.size()));
   reg.counter("metro.barriers").set(stats_.barriers);
   reg.counter("metro.msgs_routed").set(stats_.msgs_routed);
-  reg.counter("metro.frames_posted").set(stats_.frames_posted);
-  reg.counter("metro.frames_shed").set(stats_.frames_shed);
-  reg.counter("metro.frames_dropped").set(stats_.frames_dropped);
   reg.counter("metro.relay_delivered").set(stats_.relay_delivered);
   reg.counter("metro.relay_dropped").set(stats_.relay_dropped);
   reg.counter("metro.handoffs_parked").set(stats_.handoffs_parked);
   reg.counter("metro.handoffs_dropped").set(stats_.handoffs_dropped);
   reg.counter("metro.handoffs_completed").set(shard_totals.handoffs_in);
   reg.counter("metro.inbox_dropped").set(shard_totals.inbox_dropped);
-  reg.counter("metro.arena.acquired").set(arena_totals.acquired);
-  reg.counter("metro.arena.reused").set(arena_totals.reused);
-  reg.counter("metro.arena.allocated").set(arena_totals.allocated);
-  reg.counter("metro.arena.cap_rejections").set(arena_totals.cap_rejections);
-  reg.gauge("metro.arena.outstanding")
-      .set(static_cast<std::int64_t>(arena_totals.outstanding));
 
   // Flush any security events buffered since the last barrier, and refresh
   // the health.* gauges when a monitor is attached.

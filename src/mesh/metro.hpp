@@ -1,9 +1,9 @@
 // Metro-scale sharded simulation driver. A metropolitan deployment is too
 // large for one event queue — and one segment's flash crowd must not be
 // able to exhaust the whole city's memory — so MetroSimulation splits the
-// mesh into per-segment Shards (each owning its own Simulator, MeshNetwork
-// with VerifyPools and RCU revocation snapshot, and FrameArena) and drives
-// them in lockstep over tick barriers:
+// mesh into per-segment Shards (each owning its own Simulator and a
+// MeshNetwork with VerifyPools and RCU revocation snapshot) and drives them
+// in lockstep over tick barriers:
 //
 //   while now < end:
 //     barrier = min(now + tick_ms, end)
@@ -27,15 +27,13 @@
 //     parked in a bounded FIFO and retried each barrier until the
 //     partition heals; overflow drops the OLDEST parked user (metro churn
 //     — the user left the city), counted in MetroStats.
-//   * post_frame — scenario-defined opaque payloads in arena-pooled
-//     buffers, dispatched to the frame handler at the destination barrier.
-//   * kInternetRelay — frames relayed over the wired inter-shard backbone
-//     toward the nearest shard that has an access point, one shard hop per
-//     tick (BFS over connect_shards topology).
+//   * relay_to_internet — internet-bound frames relayed over the wired
+//     inter-shard backbone toward the nearest shard that has an access
+//     point, one shard hop per tick (BFS over connect_shards topology),
+//     bounded by each hop's inbox cap.
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -56,9 +54,8 @@ struct MetroConfig {
   /// Per-shard lifetime event budget (0 = unlimited). Exhaustion throws an
   /// Error naming the offending shard (Simulator::set_event_budget).
   std::uint64_t shard_event_budget = 10'000'000;
-  /// Per-shard inbox / arena caps (ShardConfig).
+  /// Per-shard inbox cap (ShardConfig::inbox_cap).
   std::size_t shard_inbox_cap = 1 << 16;
-  std::size_t shard_frame_cap = 1 << 16;
   /// Cap on handoffs parked across blocked shard links; overflow drops the
   /// oldest parked user.
   std::size_t pending_handoff_cap = 4096;
@@ -67,9 +64,6 @@ struct MetroConfig {
 struct MetroStats {
   std::uint64_t barriers = 0;          // tick barriers crossed
   std::uint64_t msgs_routed = 0;       // mailbox messages moved at barriers
-  std::uint64_t frames_posted = 0;     // post_frame calls that got a buffer
-  std::uint64_t frames_shed = 0;       // post_frame refused at the arena cap
-  std::uint64_t frames_dropped = 0;    // kFrames lost to a blocked link
   std::uint64_t relay_delivered = 0;   // internet relays that reached an AP
   std::uint64_t relay_dropped = 0;     // relays dropped: no path to any AP
   std::uint64_t handoffs_parked = 0;   // handoffs waiting out a partition
@@ -93,8 +87,7 @@ class MetroSimulation {
   /// Declares a wired inter-shard backbone edge (roaming + relay route).
   void connect_shards(ShardId a, ShardId b);
   /// Partitions (or heals) an inter-shard link. Handoffs across a blocked
-  /// link park; frames and relays across it drop (frames_partitioned-style
-  /// shedding, counted in MetroStats::relay_dropped for relays).
+  /// link park; relays across it drop (counted in MetroStats::relay_dropped).
   void set_shard_link_blocked(ShardId a, ShardId b, bool blocked);
   bool shard_link_blocked(ShardId a, ShardId b) const;
 
@@ -123,22 +116,11 @@ class MetroSimulation {
   std::size_t user_count() const { return users_.size(); }
 
   // --- cross-shard traffic ------------------------------------------------
-  /// Posts an opaque scenario frame from `from`'s arena to `to`'s handler
-  /// at the next barrier. Returns false (shedding, counted) when the
-  /// origin arena is at its cap or the payload finds no buffer.
-  bool post_frame(ShardId from, ShardId to, BytesView payload,
-                  std::uint32_t tag);
-  /// Called at the destination barrier for every arriving kFrame.
-  using FrameHandler =
-      std::function<void(ShardId at, std::uint32_t tag, BytesView payload)>;
-  void set_frame_handler(FrameHandler handler) {
-    frame_handler_ = std::move(handler);
-  }
   /// Hands an internet-bound frame to the inter-shard backbone at `from`:
   /// it hops one shard per tick toward the nearest shard owning an access
   /// point (where it counts as delivered). Returns false when no AP shard
-  /// is reachable at all or the arena sheds the frame.
-  bool relay_to_internet(ShardId from, BytesView payload);
+  /// is reachable at all.
+  bool relay_to_internet(ShardId from);
 
   // --- metro-wide operations ---------------------------------------------
   /// Delivers a revocation delta announcement to every shard's segment
@@ -204,7 +186,6 @@ class MetroSimulation {
   MetroUserId next_user_id_ = 1;
   std::uint64_t next_msg_seq_ = 0;
   std::deque<ParkedHandoff> parked_;
-  FrameHandler frame_handler_;
   obs::HealthMonitor* health_ = nullptr;
   SimTime now_ = 0;
   MetroStats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
@@ -11,40 +12,13 @@ namespace peace::mesh {
 
 namespace {
 
-// Cross-shard frame tags (CrossShardMsg::tag) used by the scenario.
-constexpr std::uint32_t kTagMove = 1;  // payload: u64-LE population count
-constexpr std::uint32_t kTagData = 2;  // modeled background data frame
-
 constexpr proto::Timestamp kCertLifetimeMs = 1000ull * 86400 * 365;
-
-Bytes encode_u64(std::uint64_t v) {
-  Bytes out(8);
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  return out;
-}
-
-std::uint64_t decode_u64(BytesView b) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8 && i < b.size(); ++i)
-    v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
 
 proto::ProtocolConfig city_protocol_config() {
   proto::ProtocolConfig config;
   config.replay_window_ms = 60'000;
   return config;
 }
-
-/// Synthetic background population of one shard: a head count plus a DRBG
-/// that models its activity. No crypto — the point is engine load.
-struct SyntheticSegment {
-  std::uint64_t population = 0;
-  crypto::Drbg rng;
-  SyntheticStats stats;
-
-  explicit SyntheticSegment(crypto::Drbg r) : rng(std::move(r)) {}
-};
 
 struct CohortMember {
   MetroUserId id = 0;
@@ -57,7 +31,6 @@ struct City {
   proto::TrustedThirdParty ttp;
   proto::GroupManager gm;
   MetroSimulation metro;
-  std::vector<SyntheticSegment> synthetic;
   std::vector<CohortMember> cohort;
   std::uint64_t cohort_roams = 0;
   unsigned waves_pushed = 0;
@@ -87,20 +60,12 @@ struct City {
       // other segment hop the inter-shard backbone toward one of them.
       if (i == 0 || (cfg.shards > 2 && i == cfg.shards / 2))
         net.add_access_point({200, 300});
-      synthetic.emplace_back(
-          crypto::Drbg::from_string(cfg.seed + "/synthetic-" + label));
     }
     for (std::size_t i = 0; i + 1 < cfg.shards; ++i)
       metro.connect_shards(static_cast<ShardId>(i),
                            static_cast<ShardId>(i + 1));
     if (cfg.shards > 2)  // close the ring
       metro.connect_shards(static_cast<ShardId>(cfg.shards - 1), 0);
-
-    // Synthetic population spread evenly; remainder to downtown.
-    const std::uint64_t per = cfg.synthetic_users / cfg.shards;
-    for (std::size_t i = 0; i < cfg.shards; ++i)
-      synthetic[i].population = per;
-    synthetic[0].population += cfg.synthetic_users - per * cfg.shards;
 
     // The real-crypto cohort, spread round-robin over home shards.
     for (std::size_t i = 0; i < cfg.cohort_users; ++i) {
@@ -116,17 +81,6 @@ struct City {
           std::move(user));
       cohort.push_back({id, home});
     }
-
-    metro.set_frame_handler(
-        [this](ShardId at, std::uint32_t tag, BytesView payload) {
-          if (tag == kTagMove) {
-            const std::uint64_t n = decode_u64(payload);
-            synthetic[at].population += n;
-            synthetic[at].stats.moved += n;
-          }
-          // kTagData frames exist to push bytes through the arena and the
-          // mailboxes; arrival is the whole story.
-        });
   }
 
   /// Beacon burst: every shard's routers beacon each second for 15 s. Can
@@ -136,46 +90,6 @@ struct City {
       metro.shard(static_cast<ShardId>(i))
           .net()
           .start_beaconing(start, 1'000, start + 15'000);
-  }
-
-  /// One synthetic activity step for shard `i`; reschedules itself until
-  /// the end of the day.
-  void synthetic_step(ShardId i) {
-    SyntheticSegment& seg = synthetic[i];
-    ++seg.stats.steps;
-    if (seg.population > 0) {
-      // Modeled per-step activity, DRBG-jittered around population-scaled
-      // means: a slice associates, a larger slice pushes data, a slice
-      // browses the internet.
-      seg.stats.associations += seg.rng.uniform(seg.population / 20 + 1);
-      seg.stats.data_frames += seg.rng.uniform(seg.population / 4 + 1);
-      const std::uint64_t internet = seg.rng.uniform(seg.population / 10 + 1);
-      seg.stats.internet_frames += internet;
-      // A bounded number of REAL frames per step ride the engine: pooled
-      // buffers, mailboxes, barrier routing, backbone relay BFS.
-      if (cfg.shards > 1) {
-        const auto peer = static_cast<ShardId>(
-            (i + 1 + seg.rng.uniform(cfg.shards - 1)) % cfg.shards);
-        (void)metro.post_frame(i, peer, as_bytes("synthetic data"), kTagData);
-      }
-      if (internet > 0)
-        (void)metro.relay_to_internet(i, as_bytes("synthetic internet"));
-    }
-    Simulator& sim = metro.shard(i).sim();
-    if (sim.now() + cfg.synthetic_step_ms < cfg.day_ms)
-      sim.schedule_in(cfg.synthetic_step_ms, [this, i] { synthetic_step(i); });
-  }
-
-  /// Moves `fraction` of `from`'s synthetic population to `to` through a
-  /// kTagMove mailbox frame (arrives at the next barrier).
-  void move_synthetic(ShardId from, ShardId to, double fraction) {
-    if (from == to) return;
-    auto& seg = synthetic[from];
-    const auto n = static_cast<std::uint64_t>(
-        static_cast<double>(seg.population) * fraction);
-    if (n == 0) return;
-    if (metro.post_frame(from, to, encode_u64(n), kTagMove))
-      seg.population -= n;
   }
 
   /// Cross-shard cohort roam, skipping members still in transit.
@@ -200,7 +114,7 @@ struct City {
       if (!loc) continue;
       MeshNetwork& net = metro.shard(loc->shard).net();
       if (!net.send_to_internet(loc->node, as_bytes("cohort traffic")))
-        (void)metro.relay_to_internet(loc->shard, as_bytes("cohort traffic"));
+        (void)metro.relay_to_internet(loc->shard);
     }
   }
 
@@ -297,14 +211,6 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
   if (config.flash_crowd) city.beacon_burst(frac(0.50));
   city.beacon_burst(frac(0.75));
 
-  // Synthetic activity steps start with the day.
-  for (std::size_t i = 0; i < config.shards; ++i)
-    city.metro.shard(static_cast<ShardId>(i))
-        .sim()
-        .schedule_in(config.synthetic_step_ms, [&city, i] {
-          city.synthetic_step(static_cast<ShardId>(i));
-        });
-
   // The day's timeline, executed in order between run_until calls.
   struct Action {
     SimTime at;
@@ -312,27 +218,21 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
   };
   std::vector<Action> timeline;
 
-  // Morning commute (20% of the day): odd (residential) shards pour into
-  // their even (commercial) neighbor; half the cohort rides along.
+  // Morning commute (20% of the day): residents of odd (residential)
+  // shards roam to their even (commercial) neighbor.
   timeline.push_back({frac(0.20), [&] {
-    for (std::size_t i = 1; i < config.shards; i += 2)
-      city.move_synthetic(static_cast<ShardId>(i),
-                          static_cast<ShardId>(i - 1), 0.4);
-    city.roam_cohort([&](const CohortMember& m, ShardId at) {
+    city.roam_cohort([](const CohortMember& m, ShardId) {
       return m.home % 2 == 1 ? std::optional<ShardId>(
                                    static_cast<ShardId>(m.home - 1))
                              : std::nullopt;
-      (void)at;
     });
   }});
   timeline.push_back({frac(0.40), [&] { city.cohort_probes(); }});
 
-  // Stadium flash crowd at midday: every shard sends a surge to the last
-  // one; a quarter of the cohort attends.
+  // Stadium flash crowd at midday: a quarter of the cohort roams to the
+  // last shard.
   if (config.flash_crowd && config.shards > 1) {
     timeline.push_back({frac(0.50), [&] {
-      for (std::size_t i = 0; i + 1 < config.shards; ++i)
-        city.move_synthetic(static_cast<ShardId>(i), stadium, 0.3);
       city.roam_cohort([&](const CohortMember& m, ShardId at) {
         return m.id % 4 == 0 && at != stadium ? std::optional<ShardId>(stadium)
                                               : std::nullopt;
@@ -363,17 +263,9 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
 
   // Evening commute: everyone heads home.
   timeline.push_back({frac(0.75), [&] {
-    for (std::size_t i = 1; i < config.shards; i += 2)
-      city.move_synthetic(static_cast<ShardId>(i - 1),
-                          static_cast<ShardId>(i), 0.35);
-    if (config.flash_crowd && config.shards > 1)
-      for (std::size_t i = 0; i + 1 < config.shards; ++i)
-        city.move_synthetic(stadium, static_cast<ShardId>(i),
-                            0.2 / static_cast<double>(config.shards));
     city.roam_cohort([&](const CohortMember& m, ShardId at) {
       return at != m.home ? std::optional<ShardId>(m.home) : std::nullopt;
     });
-    (void)downtown;
   }});
   timeline.push_back({frac(0.90), [&] { city.cohort_probes(); }});
 
@@ -406,7 +298,6 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
 
   MetroCityReport report;
   report.shards = config.shards;
-  report.total_users = config.synthetic_users + config.cohort_users;
   report.cohort_users = config.cohort_users;
   for (const CohortMember& m : city.cohort) {
     const auto loc = city.metro.locate_user(m.id);
@@ -417,35 +308,21 @@ MetroCityReport run_metro_city(const MetroCityConfig& config) {
   report.sim_ms = city.metro.now();
   report.wall_seconds = wall_seconds;
   report.events = city.metro.sim_events_total();
-  report.users_sim_seconds_per_wall_second =
-      wall_seconds > 0
-          ? static_cast<double>(report.total_users) *
-                (static_cast<double>(report.sim_ms) / 1000.0) / wall_seconds
-          : 0;
+  for (std::size_t i = 0; i < config.shards; ++i)
+    report.handshakes += city.metro.shard(static_cast<ShardId>(i))
+                             .net()
+                             .router_stats_total()
+                             .accepted;
   report.revocation_waves = city.waves_pushed;
   report.url_version = url_version;
   if (config.health != nullptr)
     report.health_alerts = config.health->alerts_total();
   report.metro = city.metro.stats();
   report.net = city.metro.network_stats_total();
-  for (const SyntheticSegment& seg : city.synthetic) {
-    report.synthetic.associations += seg.stats.associations;
-    report.synthetic.data_frames += seg.stats.data_frames;
-    report.synthetic.internet_frames += seg.stats.internet_frames;
-    report.synthetic.moved += seg.stats.moved;
-    report.synthetic.steps += seg.stats.steps;
-  }
 
   // Mirror the metro into the obs registry for --metrics/CI smoke checks.
   city.metro.publish_metrics();
   auto& reg = obs::Registry::global();
-  reg.counter("metro_city.synthetic.associations")
-      .set(report.synthetic.associations);
-  reg.counter("metro_city.synthetic.data_frames")
-      .set(report.synthetic.data_frames);
-  reg.counter("metro_city.synthetic.internet_frames")
-      .set(report.synthetic.internet_frames);
-  reg.counter("metro_city.synthetic.moved").set(report.synthetic.moved);
   reg.counter("metro_city.cohort.roams").set(report.cohort_roams);
   reg.counter("metro_city.cohort.connected").set(report.cohort_connected);
   return report;

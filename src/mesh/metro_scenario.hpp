@@ -1,25 +1,16 @@
 // The metro_city scenario: one simulated day of a sharded metropolitan
 // deployment — commute waves that roam users between segments, a stadium
 // flash crowd that slams one shard, and rolling revocation waves from the
-// operator — at populations up to and beyond 100k users.
+// operator.
 //
-// Population model (docs/ARCHITECTURE.md §7.4): real BN254 group-signature
-// crypto costs ~10 ms per enrollment and ~6 ms per verification, so a
-// 100k-user day with full crypto per user is ~weeks of CPU — and would
-// measure the pairing library, not the engine this scenario exists to
-// exercise. metro_city therefore runs a HYBRID population:
+// Every simulated user is a real proto::User (default 64, spread over the
+// shards) running the full PEACE protocol: BN254 enrollment, anonymous
+// access handshakes, roaming re-authentication across shards, revocation
+// checks. Nothing is modeled as a head count, so every handshake the
+// report counts was signed and verified (docs/ARCHITECTURE.md §7.4).
 //
-//   * a cohort of real proto::Users (default 64) running the full PEACE
-//     protocol — anonymous access handshakes, roaming re-authentication,
-//     revocation checks — spread over every shard, and
-//   * a synthetic background population (the other ~100k) whose load is
-//     modeled: per-shard DRBG-driven activity steps that move population
-//     between shards through arena-pooled mailbox frames, relay traffic
-//     toward access-point shards, and exercise every cap and counter of
-//     the sharded engine without paying a pairing per body.
-//
-// Everything — cohort handshakes, synthetic draws, wave timing — derives
-// from MetroCityConfig::seed, so a run is bit-reproducible.
+// Everything — user credentials, handshakes, wave timing — derives from
+// MetroCityConfig::seed, so a run is bit-reproducible.
 #pragma once
 
 #include <string>
@@ -35,8 +26,6 @@ namespace peace::mesh {
 
 struct MetroCityConfig {
   std::size_t shards = 8;
-  /// Synthetic background population, spread evenly over the shards.
-  std::uint64_t synthetic_users = 100'000 - 64;
   /// Real-crypto residents (full PEACE protocol), spread over the shards.
   std::size_t cohort_users = 64;
   SimTime day_ms = 86'400'000;  // one simulated day
@@ -45,10 +34,8 @@ struct MetroCityConfig {
   std::string seed = "metro-city";
   /// Rolling revocation waves pushed by the operator across the day.
   unsigned revocation_waves = 4;
-  /// Stadium flash crowd at midday (synthetic surge + cohort roams).
+  /// Stadium flash crowd at midday (a quarter of the cohort roams there).
   bool flash_crowd = true;
-  /// Spacing of each shard's synthetic activity step.
-  SimTime synthetic_step_ms = 60'000;
   /// Radio loss for every segment.
   double loss_probability = 0.02;
   /// Online anomaly detection: when non-null, attached to the metro driver
@@ -67,33 +54,28 @@ struct MetroCityConfig {
   std::size_t revoked_burst_size = 24;
 };
 
-/// Synthetic-population counters (per shard, summed for the report).
-struct SyntheticStats {
-  std::uint64_t associations = 0;    // modeled anonymous handshakes
-  std::uint64_t data_frames = 0;     // modeled in-segment data traffic
-  std::uint64_t internet_frames = 0; // modeled internet-bound traffic
-  std::uint64_t moved = 0;           // users moved between shards
-  std::uint64_t steps = 0;           // activity steps executed
-};
-
 struct MetroCityReport {
   std::size_t shards = 0;
-  std::uint64_t total_users = 0;     // cohort + synthetic
   std::size_t cohort_users = 0;
   std::size_t cohort_connected = 0;  // cohort uplinks live at day end
   std::uint64_t cohort_roams = 0;    // cross-shard roam_user calls issued
   SimTime sim_ms = 0;
   double wall_seconds = 0;
   std::uint64_t events = 0;          // summed over shard simulators
-  /// The headline scale metric: total_users × simulated seconds advanced
-  /// per wall-clock second (users×sim-s/wall-s).
-  double users_sim_seconds_per_wall_second = 0;
+  std::uint64_t handshakes = 0;      // accepted M.2s (Σ RouterStats::accepted)
   unsigned revocation_waves = 0;
   std::uint64_t url_version = 0;     // max URL version any shard reached
   std::uint64_t health_alerts = 0;   // HealthMonitor firings (0 = detached)
   MetroStats metro;
   NetworkStats net;
-  SyntheticStats synthetic;
+
+  double handshakes_per_wall_second() const {
+    return wall_seconds > 0 ? static_cast<double>(handshakes) / wall_seconds
+                            : 0;
+  }
+  double wall_us_per_event() const {
+    return events > 0 ? wall_seconds * 1e6 / static_cast<double>(events) : 0;
+  }
 };
 
 /// Runs one full simulated day and returns the report. Throws Error if a

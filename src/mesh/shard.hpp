@@ -2,8 +2,7 @@
 // OWN discrete-event queue (Simulator), its own MeshNetwork — and through
 // it the segment's VerifyPools (one per router, ProtocolConfig::
 // verify_threads) and the segment's RCU SharedRevocationState snapshot —
-// plus a FrameArena for in-flight cross-shard frames and an explicit
-// mailbox pair (inbox/outbox) of CrossShardMsgs.
+// plus an explicit mailbox pair (inbox/outbox) of CrossShardMsgs.
 //
 // Ownership and determinism contract (docs/ARCHITECTURE.md §7):
 //
@@ -23,17 +22,15 @@
 //    run_until(T) call would (asserted by MetroTest.SingleShardBitIdentity).
 //
 // Bounded state: the inbox has a hard cap (overflow messages are dropped
-// and counted, shedding load instead of growing), the arena caps frames
-// outstanding, and the per-endpoint pending caps of PROTOCOL.md §10 bound
-// everything inside the MeshNetwork — so per-shard memory stays bounded at
-// 10^5–10^6 metro users.
+// and counted, shedding load instead of growing), and the per-endpoint
+// pending caps of PROTOCOL.md §10 bound everything inside the MeshNetwork
+// — so a flash crowd in one segment cannot grow its memory without bound.
 #pragma once
 
 #include <deque>
 #include <memory>
 #include <string>
 
-#include "mesh/arena.hpp"
 #include "mesh/network.hpp"
 #include "mesh/simulator.hpp"
 #include "obs/sec_event.hpp"
@@ -46,8 +43,6 @@ using MetroUserId = std::uint64_t;
 struct ShardConfig {
   /// Hard cap on queued inbox messages; overflow is dropped and counted.
   std::size_t inbox_cap = 1 << 16;
-  /// Hard cap on arena frames outstanding at once within the shard.
-  std::size_t frame_cap = 1 << 16;
   /// Per-shard lifetime event budget (Simulator::set_event_budget);
   /// 0 = unlimited. A budget exhaustion throws an error naming the shard.
   std::uint64_t event_budget = 0;
@@ -60,14 +55,12 @@ struct CrossShardMsg {
     /// (keys and credentials; never sessions — roaming re-authenticates).
     kUserHandoff,
     /// An internet-bound frame relayed over the wired backbone toward a
-    /// shard with an access point (one shard hop per tick).
+    /// shard with an access point (one shard hop per tick). It carries no
+    /// payload: arrival at an AP shard is the whole story.
     kInternetRelay,
-    /// Scenario-defined opaque payload, dispatched to the metro frame
-    /// handler at the destination barrier.
-    kFrame,
   };
 
-  Kind kind = Kind::kFrame;
+  Kind kind = Kind::kInternetRelay;
   ShardId from = 0;
   ShardId to = 0;
   std::uint64_t seq = 0;  // global emission order (deterministic replay)
@@ -75,10 +68,6 @@ struct CrossShardMsg {
   MetroUserId user = 0;
   Vec2 pos{};
   std::unique_ptr<proto::User> carried;
-  // kInternetRelay / kFrame: pooled payload (returns to the ORIGIN shard's
-  // arena when the message dies) and a scenario-defined tag.
-  std::uint32_t tag = 0;
-  PooledFrame frame;
 };
 
 struct ShardStats {
@@ -98,7 +87,6 @@ class Shard {
       : id_(id),
         name_(std::move(name)),
         config_(config),
-        arena_(config.frame_cap),
         net_(sim_, std::move(rng), radio, proto_config, reliability) {
     sim_.set_name(name_);
     sim_.set_event_budget(config.event_budget);
@@ -114,7 +102,6 @@ class Shard {
   const Simulator& sim() const { return sim_; }
   MeshNetwork& net() { return net_; }
   const MeshNetwork& net() const { return net_; }
-  FrameArena& arena() { return arena_; }
   const ShardStats& stats() const { return stats_; }
 
   /// Appends to the outbox (called through MetroSimulation emission APIs,
@@ -163,7 +150,6 @@ class Shard {
   std::string name_;
   ShardConfig config_;
   Simulator sim_;
-  FrameArena arena_;  // outlives net_: in-flight closures may hold frames
   MeshNetwork net_;
   std::vector<CrossShardMsg> outbox_;
   std::deque<CrossShardMsg> inbox_;

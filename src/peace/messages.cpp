@@ -1,6 +1,7 @@
 #include "peace/messages.hpp"
 
 #include "common/serde.hpp"
+#include "crypto/sha256.hpp"
 
 namespace peace::proto {
 
@@ -427,6 +428,14 @@ Bytes session_id_from(const G1& a, const G1& b) {
   Bytes id = g1_to_bytes(a);
   append(id, g1_to_bytes(b));
   return id;
+}
+
+std::string wire_key(const Bytes& wire) {
+  return to_hex(crypto::Sha256::hash(wire));
+}
+
+bool is_fresh(Timestamp ts, Timestamp now, Timestamp window_ms) {
+  return (now >= ts ? now - ts : ts - now) <= window_ms;
 }
 
 }  // namespace peace::proto

@@ -250,4 +250,13 @@ struct DataFrame {
 /// fresh random group elements (a privacy property the tests check).
 Bytes session_id_from(const G1& a, const G1& b);
 
+/// Resend-cache key: the hex SHA-256 of a frame's full wire bytes, so only
+/// a byte-identical duplicate ever matches — a forged variant sharing
+/// public fields can never fish a cached answer out.
+std::string wire_key(const Bytes& wire);
+
+/// Timestamp freshness, the same test on every timestamped message:
+/// |now - ts| <= window_ms (ProtocolConfig::replay_window_ms).
+bool is_fresh(Timestamp ts, Timestamp now, Timestamp window_ms);
+
 }  // namespace peace::proto

@@ -1,7 +1,6 @@
 #include "peace/router.hpp"
 
 #include "common/serde.hpp"
-#include "crypto/sha256.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "obs/sec_event.hpp"
 #include "obs/trace.hpp"
@@ -14,12 +13,6 @@ using curve::g1_to_bytes;
 using curve::random_fr;
 
 namespace {
-
-/// Confirm-cache key: the SHA-256 of a frame's full wire bytes, so only a
-/// byte-identical retransmission ever matches.
-std::string wire_key(const Bytes& wire) {
-  return to_hex(crypto::Sha256::hash(wire));
-}
 
 // SecEvent auth_reject detail codes (docs/OBSERVABILITY.md §4.1). The
 // emissions are observers riding the existing rejection counters: every
@@ -220,8 +213,7 @@ MeshRouter::handle_access_requests(std::span<const AccessRequest> batch,
       continue;
     }
     // ...and carry a fresh timestamp.
-    const Timestamp age = now >= m2.ts2 ? now - m2.ts2 : m2.ts2 - now;
-    if (age > config_.replay_window_ms) {
+    if (!is_fresh(m2.ts2, now, config_.replay_window_ms)) {
       ++stats_.rejected_stale;
       obs::sec_emit(obs::SecEventKind::kAuthReject, now, id_, kRejectStale);
       continue;

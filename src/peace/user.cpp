@@ -1,7 +1,6 @@
 #include "peace/user.hpp"
 
 #include "common/serde.hpp"
-#include "crypto/sha256.hpp"
 #include "curve/hash_to_curve.hpp"
 #include "obs/trace.hpp"
 
@@ -22,13 +21,6 @@ User::User(std::string uid, SystemParams params, crypto::Drbg rng,
       receipt_key_(curve::EcdsaKeyPair::generate(rng_)) {}
 
 namespace {
-
-/// Key for the resend caches: only *byte-identical* duplicates of a frame
-/// ever match, so a forged variant sharing public fields can never fish a
-/// cached answer out.
-std::string wire_key(const Bytes& wire) {
-  return to_hex(crypto::Sha256::hash(wire));
-}
 
 template <typename Map>
 std::size_t reap_map(Map& map, Timestamp now, Timestamp ttl) {
@@ -107,9 +99,7 @@ const MemberKey& User::pick_credential(GroupId via_group) const {
 
 bool User::beacon_trustworthy(const BeaconMessage& beacon, Timestamp now) {
   // Step 2.1: timestamp freshness.
-  const Timestamp age =
-      now >= beacon.ts1 ? now - beacon.ts1 : beacon.ts1 - now;
-  if (age > config_.replay_window_ms) return false;
+  if (!is_fresh(beacon.ts1, now, config_.replay_window_ms)) return false;
   // Certificate: signed by NO, not expired, consistent router id.
   const RouterCertificate& cert = beacon.certificate;
   if (cert.router_id != beacon.router_id) return false;
@@ -269,19 +259,7 @@ PeerReply User::reply_to_hello(const PeerHello& hello, std::string hello_key,
 std::optional<PeerReply> User::process_peer_hello(const PeerHello& hello,
                                                   Timestamp now,
                                                   GroupId via_group) {
-  static obs::Histogram& hello_hist =
-      obs::Registry::global().histogram("user.peer_hello_us");
-  obs::Span span("user.peer_hello", "handshake", &hello_hist);
-  const Timestamp age = now >= hello.ts1 ? now - hello.ts1 : hello.ts1 - now;
-  if (age > config_.replay_window_ms) return std::nullopt;
-  // Idempotent resend: a byte-identical duplicate (radio duplication or an
-  // initiator retransmission after a lost M~.2) gets the cached reply back
-  // — no new r_l, no new pending state, no pairing work, no rng draw.
-  std::string key = wire_key(hello.to_bytes());
-  if (auto cached = cached_reply(key); cached.has_value()) return cached;
-  if (!peer_signature_ok(hello.signed_payload(), hello.signature))
-    return std::nullopt;
-  return reply_to_hello(hello, std::move(key), now, via_group);
+  return std::move(process_peer_hellos({&hello, 1}, now, via_group).front());
 }
 
 std::vector<std::optional<PeerReply>> User::process_peer_hellos(
@@ -294,8 +272,10 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   span.arg("batch_size", hellos.size());
 
   // Pass 1 (sequential): the cheap freshness gate, in input order.
-  // Duplicates of already-answered hellos are served from the cache here,
-  // before any verification work — same as the one-at-a-time path.
+  // Idempotent resend: a byte-identical duplicate of an already-answered
+  // hello (radio duplication, or an initiator retransmission after a lost
+  // M~.2) gets the cached reply back here — no new r_l, no new pending
+  // state, no pairing work, no rng draw.
   struct Pending {
     std::size_t index;
     std::string key;  // resend-cache key of the hello
@@ -303,9 +283,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
   std::vector<Pending> pending;
   pending.reserve(hellos.size());
   for (std::size_t i = 0; i < hellos.size(); ++i) {
-    const Timestamp age =
-        now >= hellos[i].ts1 ? now - hellos[i].ts1 : hellos[i].ts1 - now;
-    if (age > config_.replay_window_ms) continue;
+    if (!is_fresh(hellos[i].ts1, now, config_.replay_window_ms)) continue;
     std::string key = wire_key(hellos[i].to_bytes());
     if (auto cached = cached_reply(key); cached.has_value()) {
       results[i] = std::move(cached);
@@ -316,10 +294,11 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
 
   // Pass 2 (verify_stage, pooled): group-signature verification plus URL
   // scan. The checks touch only immutable state (pgpk_, url_tokens_), so
-  // jobs need no synchronization beyond the pool's own.
-  if (pool_ == nullptr && config_.verify_threads > 1)
-    pool_ = std::make_unique<VerifyPool>(config_.verify_threads);
+  // jobs need no synchronization beyond the pool's own. A lone hello is
+  // verified inline, so a batch of one never spawns the pool.
   if (pending.size() > 1) {
+    if (pool_ == nullptr && config_.verify_threads > 1)
+      pool_ = std::make_unique<VerifyPool>(config_.verify_threads);
     ++stats_.peer_verify_batches;
     stats_.peer_batched_hellos += pending.size();
   }
@@ -336,7 +315,7 @@ std::vector<std::optional<PeerReply>> User::process_peer_hellos(
       });
 
   // Pass 3 (sequential, input order): every rng draw (r_l, signing nonces)
-  // happens here, exactly as the one-at-a-time path would perform them.
+  // happens here, exactly as one-at-a-time calls would perform them.
   for (std::size_t k = 0; k < pending.size(); ++k) {
     if (!verdicts[k].sig_ok || verdicts[k].revoked) continue;
     Pending& p = pending[k];
@@ -374,8 +353,7 @@ std::optional<User::PeerEstablished> User::process_peer_reply(
   if (reply.ts2 < pending.ts1 ||
       reply.ts2 - pending.ts1 > config_.replay_window_ms)
     return std::nullopt;
-  const Timestamp age = now >= reply.ts2 ? now - reply.ts2 : reply.ts2 - now;
-  if (age > config_.replay_window_ms) return std::nullopt;
+  if (!is_fresh(reply.ts2, now, config_.replay_window_ms)) return std::nullopt;
   if (!peer_signature_ok(reply.signed_payload(), reply.signature))
     return std::nullopt;
 

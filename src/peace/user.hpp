@@ -88,7 +88,8 @@ class User {
   PeerHello make_peer_hello(const G1& g, Timestamp now, GroupId via_group = 0);
 
   /// Responder side: validate M~.1 and answer with M~.2 (key not yet
-  /// confirmed; completed by process_peer_confirm).
+  /// confirmed; completed by process_peer_confirm). Equivalent to a batch
+  /// of one.
   std::optional<PeerReply> process_peer_hello(const PeerHello& hello,
                                               Timestamp now,
                                               GroupId via_group = 0);

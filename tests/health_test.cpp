@@ -247,7 +247,6 @@ TEST_F(MetroHealthTest, ChaosBurstsRaiseAlertsNamingShardAndKind) {
   // right underlying kind.
   mesh::MetroCityConfig config;
   config.shards = 4;
-  config.synthetic_users = 2'000;
   config.cohort_users = 8;
   config.day_ms = 8'640'000;  // a tenth of a day keeps the test quick
   config.revocation_waves = 2;

@@ -2,14 +2,16 @@
 // the bit-identity contract (a 1-shard metro replays the pre-sharding
 // single event loop exactly), cross-shard roaming through mailbox
 // handoffs, partition park-and-retry, backbone internet relay, the
-// bounded inbox/arena caps, per-shard event budgets, and the
-// order-independent cross-shard stats merges the obs layer relies on.
+// bounded inbox cap, per-shard event budgets, the order-independent
+// cross-shard stats merges the obs layer relies on, and a reproducible
+// metro_city day.
 #include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "mesh/metro.hpp"
+#include "mesh/metro_scenario.hpp"
 #include "obs/metrics.hpp"
 #include "peace/metrics_export.hpp"
 
@@ -268,34 +270,14 @@ TEST_F(MetroTest, InboxCapShedsOverflow) {
   const ShardId src = metro.add_shard("src", "inbox-src");
   const ShardId dst = metro.add_shard("dst", "inbox-dst");
   metro.connect_shards(src, dst);
-  std::size_t handled = 0;
-  metro.set_frame_handler(
-      [&](ShardId, std::uint32_t, BytesView) { ++handled; });
-  for (int i = 0; i < 5; ++i)
-    EXPECT_TRUE(metro.post_frame(src, dst, as_bytes("overflow"), 7));
+  metro.shard(dst).net().add_access_point({0, 0});
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(metro.relay_to_internet(src));
   metro.run_until(metro.config().tick_ms);
-  // Two fit the inbox; three shed at the cap instead of growing memory.
-  EXPECT_EQ(handled, 2u);
+  // Two fit the AP shard's inbox; three shed at the cap instead of growing
+  // memory.
   EXPECT_EQ(metro.shard(dst).stats().msgs_in, 2u);
   EXPECT_EQ(metro.shard(dst).stats().inbox_dropped, 3u);
-}
-
-TEST_F(MetroTest, ArenaCapShedsPostedFrames) {
-  MetroConfig mc;
-  mc.shard_frame_cap = 2;
-  MetroSimulation metro(mc);
-  const ShardId src = metro.add_shard("src", "arena-src");
-  const ShardId dst = metro.add_shard("dst", "arena-dst");
-  metro.connect_shards(src, dst);
-  EXPECT_TRUE(metro.post_frame(src, dst, as_bytes("a"), 1));
-  EXPECT_TRUE(metro.post_frame(src, dst, as_bytes("b"), 1));
-  // The origin arena is at its cap: shedding, counted, no growth.
-  EXPECT_FALSE(metro.post_frame(src, dst, as_bytes("c"), 1));
-  EXPECT_EQ(metro.stats().frames_posted, 2u);
-  EXPECT_EQ(metro.stats().frames_shed, 1u);
-  metro.run_until(metro.config().tick_ms);
-  // Delivered frames return their buffers; posting works again.
-  EXPECT_TRUE(metro.post_frame(src, dst, as_bytes("d"), 1));
+  EXPECT_EQ(metro.stats().relay_delivered, 2u);
 }
 
 TEST_F(MetroTest, InternetRelayHopsTowardApShard) {
@@ -308,19 +290,19 @@ TEST_F(MetroTest, InternetRelayHopsTowardApShard) {
   metro.shard(s2).net().add_access_point({0, 0});
 
   // One shard hop per tick: s0 -> s1 -> s2 (the AP shard) in two barriers.
-  EXPECT_TRUE(metro.relay_to_internet(s0, as_bytes("uplink")));
+  EXPECT_TRUE(metro.relay_to_internet(s0));
   metro.run_until(metro.config().tick_ms);
   EXPECT_EQ(metro.stats().relay_delivered, 0u);
   metro.run_until(2 * metro.config().tick_ms);
   EXPECT_EQ(metro.stats().relay_delivered, 1u);
 
   // A segment with its own AP delivers without touching the backbone.
-  EXPECT_TRUE(metro.relay_to_internet(s2, as_bytes("local")));
+  EXPECT_TRUE(metro.relay_to_internet(s2));
   EXPECT_EQ(metro.stats().relay_delivered, 2u);
 
   // Partition the only path to an AP: the relay is refused and counted.
   metro.set_shard_link_blocked(s1, s2, true);
-  EXPECT_FALSE(metro.relay_to_internet(s0, as_bytes("stranded")));
+  EXPECT_FALSE(metro.relay_to_internet(s0));
   EXPECT_EQ(metro.stats().relay_dropped, 1u);
 }
 
@@ -415,6 +397,40 @@ TEST_F(MetroTest, StatsMergeOrderIndependence) {
   const std::string once = reg.to_json();
   metro.publish_metrics();
   EXPECT_EQ(reg.to_json(), once);
+}
+
+TEST_F(MetroTest, CityDayIsReproducible) {
+  // The whole metro_city scenario — commutes, flash crowd, revocation
+  // waves, both chaos bursts — replays identically from its seed: every
+  // report field except wall time, and the merged NetworkStats byte for
+  // byte.
+  MetroCityConfig config;
+  config.shards = 4;
+  config.cohort_users = 8;
+  config.day_ms = 3'600'000;  // one simulated hour
+  config.revocation_waves = 2;
+  config.seed = "metro-city-repro";
+  config.forgery_burst = true;
+  config.revoked_burst = true;
+  const MetroCityReport a = run_metro_city(config);
+  const MetroCityReport b = run_metro_city(config);
+
+  EXPECT_EQ(a.shards, b.shards);
+  EXPECT_EQ(a.cohort_users, b.cohort_users);
+  EXPECT_EQ(a.cohort_connected, b.cohort_connected);
+  EXPECT_EQ(a.cohort_roams, b.cohort_roams);
+  EXPECT_EQ(a.sim_ms, b.sim_ms);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.handshakes, b.handshakes);
+  EXPECT_EQ(a.revocation_waves, b.revocation_waves);
+  EXPECT_EQ(a.url_version, b.url_version);
+  EXPECT_EQ(a.health_alerts, b.health_alerts);
+  static_assert(sizeof(MetroStats) % sizeof(std::uint64_t) == 0);
+  EXPECT_EQ(std::memcmp(&a.metro, &b.metro, sizeof(MetroStats)), 0);
+  EXPECT_EQ(std::memcmp(&a.net, &b.net, sizeof(NetworkStats)), 0);
+
+  EXPECT_GT(a.handshakes, 0u);
+  EXPECT_EQ(a.cohort_connected, config.cohort_users);
 }
 
 }  // namespace
